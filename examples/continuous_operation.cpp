@@ -1,6 +1,7 @@
 // Continuous operation: one replayed day of GEANT traffic under the
-// streaming re-optimization loop (src/control/), hosted by the placement
-// service (src/serve/).
+// streaming re-optimization loop (src/control/), running on the
+// placement service's clock, metrics, flight recorder and thread pool
+// (src/tenant/).
 //
 // The day's script: a diurnal cycle peaking at 14:00 (20% swing), the
 // UK-NL link down from 08:00 to 16:00, and an 8x surge on three JANET OD
@@ -66,18 +67,19 @@ int main() {
   constexpr int kFailBin = 97;           // 08:00: UK-NL goes down
   constexpr int kRecoverBin = 193;       // 16:00: ...and comes back
 
-  // One clock for the server, the loop, and every flight-recorder event.
+  // One clock for the service, the loop, and every flight-recorder event.
   obs::ManualClock clock;
-  serve::ServerOptions service;
-  service.clock = &clock;
-  service.threads = 4;
-  service.flight_recorder = 4096;  // hold the full day's events
-  serve::Server server(graph, base.task, base.loads, service);
+  tenant::TenantRegistry registry(&clock);
+  registry.publish("geant", {graph, base.task, base.loads, {}});
+  tenant::TenantServiceOptions options;
+  options.clock = &clock;
+  options.threads = 4;
+  options.flight_recorder = 4096;  // hold the full day's events
+  tenant::TenantService service(registry, options);
 
   control::ControlConfig config;
   config.track_oracle = true;  // the regret reference: re-solve every bin
-  server.start_control(config);
-  const control::ControlLoop& loop = *server.control_loop();
+  control::ControlLoop loop(graph, base.task, config, service.control_deps());
 
   Rng rng(2026);
   TextTable table({"window", "diurnal", "innov rms", "resolves", "pushes",
@@ -137,7 +139,7 @@ int main() {
               (rhos[k] * interval);
     }
 
-    const control::StepResult r = server.control_step(bin_obs);
+    const control::StepResult r = loop.step(bin_obs);
     loop_utility += r.utility;
     oracle_utility += r.oracle_utility;
     if (r.resolved) ++window_resolves;
@@ -168,7 +170,7 @@ int main() {
   }
 
   std::printf("\n%s", table.render().c_str());
-  const obs::RegistrySnapshot metrics = server.metrics().snapshot();
+  const obs::RegistrySnapshot metrics = service.metrics().snapshot();
   const obs::MetricSnapshot* outliers =
       metrics.find("netmon_control_outliers_total");
   std::printf(
@@ -188,12 +190,12 @@ int main() {
   const char* obs_dir = std::getenv("NETMON_OBS_DIR");
   if (obs_dir != nullptr) {
     const std::string dir(obs_dir);
-    std::ofstream(dir + "/control_metrics.prom") << server.prometheus();
+    std::ofstream(dir + "/control_metrics.prom") << service.prometheus();
     std::ofstream(dir + "/control_flight.jsonl")
-        << server.flight_recorder().jsonl();
+        << service.flight_recorder().jsonl();
     std::printf("\nobs artifacts: %s/{control_metrics.prom,"
                 "control_flight.jsonl} (%zu flight events)\n",
-                obs_dir, server.flight_recorder().dump().size());
+                obs_dir, service.flight_recorder().dump().size());
   }
   return 0;
 }

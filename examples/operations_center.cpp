@@ -332,13 +332,16 @@ int main() {
               100.0 * core::worst_quantization_error(configs));
   std::printf("%s", core::render_config(configs.front(), graph).c_str());
 
-  const serve::StatsSnapshot stats = service.stats();
+  const obs::RegistrySnapshot stats = service.metrics().snapshot();
+  auto count = [&](const char* name) {
+    return static_cast<unsigned long long>(stats.find(name)->value);
+  };
   std::printf("\nservice stats: submitted %llu, served_ok %llu, batches"
               " %llu, problems_solved %llu\n",
-              static_cast<unsigned long long>(stats.submitted),
-              static_cast<unsigned long long>(stats.served_ok),
-              static_cast<unsigned long long>(stats.batches),
-              static_cast<unsigned long long>(stats.problems_solved));
+              count("netmon_serve_submitted_total"),
+              count("netmon_serve_served_total"),
+              count("netmon_serve_batches_total"),
+              count("netmon_serve_problems_solved_total"));
   std::printf("cache: %zu entries; tcp: %llu protocol errors\n",
               service.cache().size(),
               static_cast<unsigned long long>(tcp_server.protocol_errors()));

@@ -15,8 +15,14 @@
 # baseline ISA and runs the SIMD suites at EVERY dispatch level
 # (NETMON_SIMD=scalar|avx2|avx512|auto), so cross-level bit-identity is
 # checked even when the compiler may auto-vectorize the scalar paths.
-# Finally the perf gate compares the solver_perf kernel timings against
-# the committed BENCH_solver.json.
+# The obs gate validates the artifacts of traced example runs, and the
+# perf gate compares the solver/scaling/ingest/serve perf benches
+# against their committed BENCH_*.json baselines. Finally the benchmark
+# driver is built and smoke-run (benchmark/run.sh --smoke: every
+# workload at a tiny size, traced and untraced, then its output checks —
+# TCP vs in-process bit identity, cache hit accounting, KKT /
+# certificate gaps), so a serving-API change that breaks
+# benchmark/src/ fails here rather than at benchmark time.
 #
 # Usage: scripts/ci.sh [build-dir-prefix]
 set -euo pipefail
@@ -97,5 +103,8 @@ echo "== perf gate: solver + scaling + ingest + serve perf vs baselines =="
 cmake --build "${PREFIX}" -j "${JOBS}" --target solver_perf scaling_perf \
   ingest_perf serve_perf
 scripts/perf_gate.sh "${PREFIX}"
+
+echo "== benchmark smoke: driver build + tiny run of every workload =="
+benchmark/run.sh --smoke
 
 echo "CI OK"

@@ -1,6 +1,7 @@
 // Umbrella header for the streaming re-optimization control loop:
 // per-OD Kalman tracking, re-solve trigger policy, hysteresis actuation,
-// and the long-lived ControlLoop that serve::Server hosts.
+// and the long-lived ControlLoop (which can run on a TenantService's
+// infrastructure through TenantService::control_deps()).
 #pragma once
 
 #include "control/actuator.hpp"

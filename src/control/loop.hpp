@@ -126,9 +126,10 @@ struct StepResult {
   bool skipped = false;
 };
 
-/// Host infrastructure the loop plugs into. serve::Server hands in its
-/// own clock/metrics/recorder/pool when hosting a loop; standalone loops
-/// (unit tests, benches) may leave any of these null.
+/// Host infrastructure the loop plugs into. tenant::TenantService's
+/// control_deps() hands out its own clock/metrics/recorder/pool so a
+/// loop reports next to the query traffic; standalone loops (unit tests,
+/// benches) may leave any of these null.
 struct ControlDeps {
   /// Timestamps, solve deadlines, and latency accounting. Null = the
   /// process steady clock. Borrowed; must outlive the loop.
@@ -141,8 +142,8 @@ struct ControlDeps {
   runtime::ThreadPool* pool = nullptr;
 };
 
-/// The long-lived loop. Not thread-safe: steps are strictly sequential
-/// (serve::Server serializes its hosted loop behind a mutex).
+/// The long-lived loop. Not thread-safe: steps are strictly sequential,
+/// so feed bins from one thread (or serialize them yourself).
 class ControlLoop {
  public:
   /// The graph is borrowed and must outlive the loop; the task seeds the

@@ -1,12 +1,8 @@
-// Request execution helpers shared by every Service implementation.
-//
-// serve::Server (one implicit model) and tenant::TenantService (a model
-// per tenant snapshot) run the identical request pipeline — validate,
-// expand into PlacementProblems, solve, assemble the typed Response —
-// differing only in where the model comes from. These helpers take the
-// model as an explicit ModelView so that pipeline exists exactly once:
-// a request answered against the same view yields the same Response bits
-// no matter which service ran it.
+// Request execution helpers: validate, expand into PlacementProblems,
+// and assemble the typed Response. They take the model as an explicit
+// ModelView (tenant::TenantService passes each request's pinned tenant
+// snapshot), so a request answered against the same view yields the
+// same Response bits as a direct solve of the same problem.
 #pragma once
 
 #include <deque>
@@ -26,8 +22,8 @@ namespace netmon::serve {
 
 /// A borrowed, immutable network model a request resolves against. All
 /// pointers are non-null and must outlive any use of the view (the
-/// Server borrows its own members; the tenant layer pins the snapshot
-/// that owns them for the request's lifetime).
+/// tenant layer pins the snapshot that owns them for the request's
+/// lifetime).
 struct ModelView {
   const topo::Graph* graph = nullptr;
   const core::MeasurementTask* task = nullptr;

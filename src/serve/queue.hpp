@@ -2,7 +2,7 @@
 // backpressure primitive.
 //
 // The queue is the only place requests wait: producers (transports) push
-// from any thread, the server's single dispatcher pops. Admission is
+// from any thread, the service's single dispatcher pops. Admission is
 // reject-on-full with a typed result — a full queue NEVER blocks the
 // producer and NEVER silently drops; the caller turns kFull into a
 // ResponseStatus::kRejectedQueueFull response immediately. Deadlines are

@@ -4,9 +4,9 @@
 // SDN controller) submits what-if placement queries — theta sweeps,
 // failure scenarios, task changes — and needs answers under a latency
 // budget. A Request is pure data (no pointers into the model), so it can
-// cross a wire (serve/wire.hpp) unchanged; the Server resolves it
-// against the network model it was constructed with (graph, task,
-// loads). Every query is answered by a pure function of (model,
+// cross a wire (serve/wire.hpp) unchanged; the service resolves it
+// against the network model its tenant published (graph, task, loads).
+// Every query is answered by a pure function of (model,
 // request), which is what makes the serving layer's batching
 // deterministic: responses are bit-identical no matter how requests were
 // coalesced or how many worker threads ran them.
@@ -45,13 +45,13 @@ struct Request {
   /// Client-chosen correlation id, echoed in the Response.
   std::uint64_t id = 0;
   RequestKind kind = RequestKind::kSolve;
-  /// Tenant the query resolves against. Single-tenant servers ignore it;
-  /// tenant::TenantService resolves it in its TenantRegistry (empty =
-  /// the registry's default tenant) and rejects unknown names.
+  /// Tenant the query resolves against. tenant::TenantService resolves
+  /// it in its TenantRegistry (empty = the registry's default tenant)
+  /// and rejects unknown names.
   std::string tenant;
-  /// System capacity theta; 0 = the server's default.
+  /// System capacity theta; 0 = the tenant model's default.
   double theta = 0.0;
-  /// Per-link rate cap; 0 = the server's default.
+  /// Per-link rate cap; 0 = the tenant model's default.
   double default_alpha = 0.0;
   /// Links assumed failed for this query (routing recomputes around
   /// them). Applies to every kind.

@@ -4,8 +4,9 @@
 // submit placement queries (solves, failure what-ifs, theta sweeps,
 // accuracy reports) into a bounded queue; a dispatcher coalesces
 // compatible requests into core::BatchSolver batches and answers every
-// admitted request with exactly one typed Response. See
-// serve/server.hpp for the dataflow and the backpressure contract.
+// admitted request with exactly one typed Response. The one Service
+// implementation is tenant::TenantService; see tenant/service.hpp for
+// the dataflow and the backpressure contract.
 #pragma once
 
 #include "serve/batcher.hpp"        // IWYU pragma: export
@@ -13,7 +14,6 @@
 #include "serve/loopback.hpp"       // IWYU pragma: export
 #include "serve/queue.hpp"          // IWYU pragma: export
 #include "serve/request.hpp"        // IWYU pragma: export
-#include "serve/server.hpp"         // IWYU pragma: export
 #include "serve/stats.hpp"          // IWYU pragma: export
 #include "serve/tcp_transport.hpp"  // IWYU pragma: export
 #include "serve/transport.hpp"      // IWYU pragma: export

@@ -1,6 +1,5 @@
 #include "serve/stats.hpp"
 
-#include <sstream>
 #include <vector>
 
 namespace netmon::serve {
@@ -17,25 +16,9 @@ std::vector<double> pow2_bounds(int max_exp) {
   return bounds;
 }
 
-std::uint64_t as_count(const obs::MetricSnapshot* metric) noexcept {
-  return metric != nullptr ? static_cast<std::uint64_t>(metric->value) : 0;
-}
-
 }  // namespace
 
-ServeStats::ServeStats()
-    : owned_(std::make_unique<obs::MetricsRegistry>()),
-      registry_(owned_.get()) {
-  register_metrics();
-}
-
-ServeStats::ServeStats(obs::MetricsRegistry& registry)
-    : registry_(&registry) {
-  register_metrics();
-}
-
-void ServeStats::register_metrics() {
-  obs::MetricsRegistry& r = *registry_;
+ServeStats::ServeStats(obs::MetricsRegistry& r) {
   submitted_ = r.counter("netmon_serve_submitted_total",
                          "Requests submitted (accepted or not)");
   enqueued_ = r.counter("netmon_serve_enqueued_total", "Requests admitted");
@@ -54,7 +37,7 @@ void ServeStats::register_metrics() {
   problems_solved_ = r.counter("netmon_serve_problems_solved_total",
                                "Placement problems solved");
   // Depth/size: pow2 buckets to 2^16; latencies: pow2 milliseconds to
-  // ~134 s. Per-shard exact max keeps StatsSnapshot max fields exact.
+  // ~134 s. Per-shard exact max keeps the histograms' max fields exact.
   queue_depth_ = r.histogram("netmon_serve_queue_depth", pow2_bounds(16),
                              "Queue depth after each admit");
   batch_size_ = r.histogram("netmon_serve_batch_size", pow2_bounds(16),
@@ -63,84 +46,6 @@ void ServeStats::register_metrics() {
                           "Admit-to-dispatch latency, ms");
   solve_ms_ = r.histogram("netmon_serve_solve_ms", pow2_bounds(27),
                           "Batch solve latency share, ms");
-}
-
-StatsSnapshot ServeStats::snapshot() const {
-  const obs::RegistrySnapshot reg = registry_->snapshot();
-  StatsSnapshot s;
-  s.submitted = as_count(reg.find("netmon_serve_submitted_total"));
-  s.enqueued = as_count(reg.find("netmon_serve_enqueued_total"));
-  s.rejected_queue_full =
-      as_count(reg.find("netmon_serve_rejected_queue_full_total"));
-  s.rejected_shutdown =
-      as_count(reg.find("netmon_serve_rejected_shutdown_total"));
-  s.bad_requests = as_count(reg.find("netmon_serve_bad_requests_total"));
-  s.expired_in_queue =
-      as_count(reg.find("netmon_serve_expired_in_queue_total"));
-  s.expired_mid_solve =
-      as_count(reg.find("netmon_serve_expired_mid_solve_total"));
-  s.served_ok = as_count(reg.find("netmon_serve_served_total"));
-  s.batches = as_count(reg.find("netmon_serve_batches_total"));
-  s.problems_solved =
-      as_count(reg.find("netmon_serve_problems_solved_total"));
-
-  if (const auto* h = reg.find("netmon_serve_queue_depth")) {
-    s.queue_depth_mean = h->mean();
-    s.queue_depth_max = h->max;
-    s.queue_depth_p99 = h->approx_quantile(0.99);
-  }
-  if (const auto* h = reg.find("netmon_serve_batch_size")) {
-    s.batch_size_mean = h->mean();
-    s.batch_size_max = h->max;
-    s.batch_size_p99 = h->approx_quantile(0.99);
-  }
-  if (const auto* h = reg.find("netmon_serve_queue_ms")) {
-    s.queue_ms_mean = h->mean();
-    s.queue_ms_p99 = h->approx_quantile(0.99);
-  }
-  if (const auto* h = reg.find("netmon_serve_solve_ms")) {
-    s.solve_ms_mean = h->mean();
-    s.solve_ms_p99 = h->approx_quantile(0.99);
-  }
-  return s;
-}
-
-void ServeStats::fill(BenchReport& report) const {
-  const StatsSnapshot s = snapshot();
-  report.result("counters")
-      .metric("submitted", static_cast<double>(s.submitted))
-      .metric("enqueued", static_cast<double>(s.enqueued))
-      .metric("rejected_queue_full",
-              static_cast<double>(s.rejected_queue_full))
-      .metric("rejected_shutdown", static_cast<double>(s.rejected_shutdown))
-      .metric("bad_requests", static_cast<double>(s.bad_requests))
-      .metric("expired_in_queue", static_cast<double>(s.expired_in_queue))
-      .metric("expired_mid_solve", static_cast<double>(s.expired_mid_solve))
-      .metric("served_ok", static_cast<double>(s.served_ok))
-      .metric("batches", static_cast<double>(s.batches))
-      .metric("problems_solved", static_cast<double>(s.problems_solved));
-  report.result("queue_depth")
-      .metric("mean", s.queue_depth_mean)
-      .metric("max", s.queue_depth_max)
-      .metric("p99", s.queue_depth_p99);
-  report.result("batch_size")
-      .metric("mean", s.batch_size_mean)
-      .metric("max", s.batch_size_max)
-      .metric("p99", s.batch_size_p99);
-  report.result("latency_ms")
-      .metric("queue_mean", s.queue_ms_mean)
-      .metric("queue_p99", s.queue_ms_p99)
-      .metric("solve_mean", s.solve_ms_mean)
-      .metric("solve_p99", s.solve_ms_p99);
-}
-
-std::string ServeStats::json(const std::string& name,
-                             unsigned threads) const {
-  BenchReport report(name, threads);
-  fill(report);
-  std::ostringstream out;
-  report.write(out);
-  return out.str();
 }
 
 }  // namespace netmon::serve

@@ -1,56 +1,25 @@
-// Serving-layer instrumentation, rewired onto obs::MetricsRegistry.
+// Serving-layer instrumentation on obs::MetricsRegistry.
 //
-// ServeStats is now a thin naming shim: every counter and histogram
-// lives in a MetricsRegistry (per-thread sharded cells, exact max per
-// histogram), so the serve metrics share one snapshot/export path with
-// the solver metrics — the same registry renders the Prometheus text,
-// the JSONL dump, and this struct's BenchReport rows. The historical
-// accessor API (on_* hooks, StatsSnapshot, fill/json) is unchanged, so
-// existing callers and tests keep working.
+// ServeStats names the serve metrics: every counter and histogram lives
+// in the service's MetricsRegistry (per-thread sharded cells, exact max
+// per histogram), so serve and solver metrics share one snapshot/export
+// path — Prometheus text and the JSONL dump. Read them back through the
+// registry's snapshot under the netmon_serve_* names.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <string>
+#include <cstddef>
 
 #include "obs/metrics.hpp"
-#include "util/bench_report.hpp"
 
 namespace netmon::serve {
 
-/// Point-in-time view of the counters and histogram summaries.
-struct StatsSnapshot {
-  std::uint64_t submitted = 0;
-  std::uint64_t enqueued = 0;
-  std::uint64_t rejected_queue_full = 0;
-  std::uint64_t rejected_shutdown = 0;
-  std::uint64_t bad_requests = 0;
-  std::uint64_t expired_in_queue = 0;
-  std::uint64_t expired_mid_solve = 0;
-  std::uint64_t served_ok = 0;
-  std::uint64_t batches = 0;
-  /// Problems solved (a request may expand to many).
-  std::uint64_t problems_solved = 0;
-
-  /// Histogram summaries. max is exact; p99 is approximate (bucket upper
-  /// bound, capped at the exact max).
-  double queue_depth_mean = 0.0, queue_depth_max = 0.0,
-         queue_depth_p99 = 0.0;
-  double batch_size_mean = 0.0, batch_size_max = 0.0, batch_size_p99 = 0.0;
-  double queue_ms_mean = 0.0, queue_ms_p99 = 0.0;
-  double solve_ms_mean = 0.0, solve_ms_p99 = 0.0;
-};
-
-/// Thread-safe serve metrics for one Server, stored in an
-/// obs::MetricsRegistry under the netmon_serve_* names. Every on_* hook
-/// is a sharded lock-free update.
+/// Thread-safe serve metrics, stored in an obs::MetricsRegistry under
+/// the netmon_serve_* names. Every on_* hook is a sharded lock-free
+/// update.
 class ServeStats {
  public:
-  /// Owns a private registry (standalone use, tests).
-  ServeStats();
-  /// Registers the serve metrics on a shared registry (the Server passes
-  /// its own, so solver and serve metrics export together). Borrowed;
-  /// must outlive this object.
+  /// Registers the serve metrics on `registry`. Borrowed; must outlive
+  /// this object.
   explicit ServeStats(obs::MetricsRegistry& registry);
 
   void on_submitted() noexcept { submitted_.inc(); }
@@ -74,24 +43,7 @@ class ServeStats {
     solve_ms_.observe(solve_ms);
   }
 
-  StatsSnapshot snapshot() const;
-
-  /// The backing registry (for Prometheus/JSONL export).
-  obs::MetricsRegistry& registry() const noexcept { return *registry_; }
-
-  /// Appends the stats as result rows on a BenchReport (rows: counters,
-  /// queue_depth, batch_size, latency_ms).
-  void fill(BenchReport& report) const;
-
-  /// One-line JSON via BenchReport, e.g. for a /stats endpoint or logs.
-  std::string json(const std::string& name, unsigned threads) const;
-
  private:
-  void register_metrics();
-
-  std::unique_ptr<obs::MetricsRegistry> owned_;
-  obs::MetricsRegistry* registry_;
-
   obs::Counter submitted_, enqueued_, rejected_full_, rejected_shutdown_,
       bad_requests_, expired_in_queue_, expired_mid_solve_, served_ok_,
       batches_, problems_solved_;

@@ -1,9 +1,8 @@
 // The two seams of the serving layer.
 //
 // `Service` is the server side: anything that accepts a Request and
-// promises exactly one typed Response through a callback — the
-// single-tenant serve::Server and the multi-tenant tenant::TenantService
-// both implement it, so transports cannot tell them apart.
+// promises exactly one typed Response through a callback. Transports see
+// only this seam, not tenant::TenantService, which implements it.
 //
 // `Transport` is the client side: anything that carries a Request to a
 // Service and brings the Response back — in-process loopback

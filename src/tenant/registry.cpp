@@ -37,31 +37,41 @@ std::shared_ptr<TenantRegistry::State> TenantRegistry::find(
 std::uint64_t TenantRegistry::publish(const std::string& name,
                                       TenantModel model) {
   NETMON_REQUIRE(!name.empty(), "tenant name must be non-empty");
-  std::shared_ptr<State> state;
-  {
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    auto& slot = tenants_[name];
-    if (slot == nullptr) {
-      slot = std::make_shared<State>();
-      slot->quota =
-          std::make_shared<TenantQuota>(QuotaConfig{}, clock_);
-      if (default_.empty()) default_ = name;
-      tenant_gauge_.set(static_cast<double>(tenants_.size()));
-    }
-    state = slot;
-  }
+  if (const std::shared_ptr<State> state = find(name))
+    return publish_to(*state, name, std::move(model));
+
+  // First publish: build the tenant's first snapshot off to the side and
+  // register the name (and claim the default) only once that succeeded,
+  // so an inconsistent model leaves no trace. Serializing first publishes
+  // lets a concurrent first publish of the same name find the registered
+  // state on the re-check and become epoch 2.
+  std::lock_guard<std::mutex> first_lock(first_publish_mutex_);
+  if (const std::shared_ptr<State> state = find(name))
+    return publish_to(*state, name, std::move(model));
+  auto state = std::make_shared<State>();
+  state->quota = std::make_shared<TenantQuota>(QuotaConfig{}, clock_);
+  const std::uint64_t epoch = publish_to(*state, name, std::move(model));
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  tenants_.emplace(name, std::move(state));
+  if (default_.empty()) default_ = name;
+  tenant_gauge_.set(static_cast<double>(tenants_.size()));
+  return epoch;
+}
+
+std::uint64_t TenantRegistry::publish_to(State& state, const std::string& name,
+                                         TenantModel model) {
   // The expensive part — copying the model in, validating it, routing
   // precompute — runs outside the map lock; only same-tenant publishes
   // serialize. A throw here (inconsistent model) publishes nothing and
   // leaves the previous epoch serving.
-  std::lock_guard<std::mutex> publish_lock(state->publish_mutex);
-  const std::uint64_t epoch = state->epoch + 1;
+  std::lock_guard<std::mutex> publish_lock(state.publish_mutex);
+  const std::uint64_t epoch = state.epoch + 1;
   auto snapshot =
       std::make_shared<const TenantSnapshot>(name, epoch, std::move(model));
-  state->epoch = epoch;
+  state.epoch = epoch;
   {
-    std::lock_guard<std::mutex> slot_lock(state->slot_mutex);
-    state->snapshot = std::move(snapshot);
+    std::lock_guard<std::mutex> slot_lock(state.slot_mutex);
+    state.snapshot = std::move(snapshot);
   }
   swaps_.inc();
   if (recorder_ != nullptr)
@@ -73,10 +83,8 @@ std::shared_ptr<const TenantSnapshot> TenantRegistry::acquire(
     const std::string& name) const {
   const std::shared_ptr<State> state = find(name);
   if (state == nullptr) return nullptr;
-  // A freshly created (never published) entry cannot be observed here:
-  // publish() stores the first snapshot before returning, and the entry
-  // is only created by publish(). Still, this copy may race that first
-  // store and see null — callers treat null as unknown either way.
+  // Never null: a tenant is registered only after its first snapshot
+  // was stored.
   std::lock_guard<std::mutex> slot_lock(state->slot_mutex);
   return state->snapshot;
 }

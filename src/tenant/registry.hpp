@@ -48,7 +48,8 @@ class TenantRegistry {
   /// on first publish. Returns the new epoch (per-tenant, strictly
   /// increasing from 1). The snapshot is built outside the read path;
   /// concurrent publishes to one tenant serialize per tenant. Throws
-  /// netmon::Error (and publishes nothing) on an inconsistent model.
+  /// netmon::Error (and publishes nothing) on an inconsistent model; a
+  /// failed first publish registers neither the name nor the default.
   std::uint64_t publish(const std::string& name, TenantModel model);
 
   /// The current snapshot of `name`, or null when unknown. Empty name
@@ -104,7 +105,17 @@ class TenantRegistry {
   /// concurrent remove() can never free state a caller still touches.
   std::shared_ptr<State> find(const std::string& name) const;
 
+  /// Builds and swaps in the next epoch of `state`. Throws (and changes
+  /// nothing) on an inconsistent model.
+  std::uint64_t publish_to(State& state, const std::string& name,
+                           TenantModel model);
+
   const obs::Clock* clock_;  // never null
+
+  /// Serializes first publishes, so a tenant becomes visible only with a
+  /// built snapshot and concurrent first publishes of one name still get
+  /// consecutive epochs.
+  std::mutex first_publish_mutex_;
 
   /// Guards the map shape and the default name only — never held while
   /// building a snapshot or running a solve.

@@ -1,27 +1,45 @@
-// The multi-tenant query service: registry -> quota -> cache -> the
-// shared serve pipeline.
+// The placement query service: registry -> quota -> cache -> queue ->
+// batcher -> BatchSolver.
 //
 //   transports (any thread)                dispatcher (one thread)
 //   ----------------------                 -----------------------
 //   submit(Request)                        Batcher::collect()
-//     resolve tenant (RCU acquire) ─ pin      |
-//     validate against the snapshot           v
-//     quota try_admit -> kRejectedQuota    per-slot ModelView from the
-//     cache lookup -> exact hit answers    request's *pinned* snapshot
-//       bit-identically, no solve            |
-//     miss -> nearest donor warm start       v
-//     RequestQueue::try_push            BatchSolver::solve_items(pool)
-//       (context pins the snapshot)         |
+//     resolve tenant (RCU acquire) ─ pin      |  max_batch / linger
+//     validate -> typed kBadRequest           v
+//     quota try_admit -> kRejectedQuota    deadline check at dequeue
+//     cache lookup -> exact hit answers       |  expired -> typed response
+//       bit-identically, no solve            v
+//     miss -> nearest donor warm start     per-slot ModelView from the
+//     stamp deadline                       request's *pinned* snapshot
+//     RequestQueue::try_push ---------->      |
+//       full -> typed kRejectedQueueFull      v
+//       (context pins the snapshot)     BatchSolver::solve_items(pool)
+//                                         per-request SolverOptions carry
+//                                         the deadline / iteration-budget
+//                                         hook
+//                                           |
 //                                           v
 //                                    responses: stamp tenant + cache
 //                                    outcome, insert kOk into cache,
 //                                    release quota, invoke callback
 //
-// Requests from different tenants coalesce into one dispatch batch —
-// each slot expands against its own pinned snapshot, so a registry swap
-// mid-batch never changes what an admitted request resolves against.
-// The serve layer stays tenant-agnostic: this class is just another
-// serve::Service, so LoopbackTransport and TcpServer front it unchanged.
+// A single-model deployment is a registry with one published model: the
+// first publish becomes the default tenant, so requests with an empty
+// tenant field resolve to it. Requests from different tenants coalesce
+// into one dispatch batch — each slot expands against its own pinned
+// snapshot, so a registry swap mid-batch never changes what an admitted
+// request resolves against.
+//
+// The service owns one long-lived runtime::ThreadPool; batches are fanned
+// across it with the same deterministic chunking as every other netmon
+// fan-out, and each solve is a pure function of (model, request), so a
+// solved response is bit-identical to a direct core::BatchSolver /
+// solve_placement call regardless of thread count or batch/linger
+// policy. Backpressure contract: a full queue rejects at submit time
+// (typed), an expired deadline is answered (typed), shutdown answers
+// everything still parked (typed) — an admitted request always gets
+// exactly one Response. This class is a plain serve::Service, so
+// LoopbackTransport and TcpServer front it unchanged.
 #pragma once
 
 #include <condition_variable>
@@ -32,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "control/loop.hpp"
 #include "core/batch_solver.hpp"
 #include "obs/clock.hpp"
 #include "obs/flight_recorder.hpp"
@@ -99,8 +118,12 @@ class TenantService final : public serve::Service {
     return serve::submit_future(*this, std::move(request));
   }
 
-  /// Parks / resumes the dispatcher (same contract as serve::Server).
+  /// Parks the dispatcher and returns once it is actually parked (after
+  /// the in-flight batch, at most one poll interval later). Requests keep
+  /// queueing while paused (and the queue keeps rejecting when full), so
+  /// a paused service stages deterministic queue states.
   void pause();
+  /// Resumes dispatching.
   void resume();
 
   /// Stops the dispatcher and answers everything still queued with
@@ -111,7 +134,6 @@ class TenantService final : public serve::Service {
   unsigned threads() const noexcept { return pool_.size(); }
   const TenantServiceOptions& options() const noexcept { return options_; }
 
-  serve::StatsSnapshot stats() const { return stats_.snapshot(); }
   SolveCache& cache() noexcept { return cache_; }
   const SolveCache& cache() const noexcept { return cache_; }
   TenantRegistry& registry() noexcept { return registry_; }
@@ -130,6 +152,14 @@ class TenantService final : public serve::Service {
     return recorder_;
   }
   const obs::Clock& clock() const noexcept { return *clock_; }
+
+  /// This service's clock, metrics registry, flight recorder and pool,
+  /// for a control::ControlLoop the caller constructs and steps: the
+  /// loop then solves on the shared pool and reports next to the query
+  /// traffic. Borrowed; the loop must not outlive the service.
+  control::ControlDeps control_deps() noexcept {
+    return control::ControlDeps{clock_, &metrics_, &recorder_, &pool_};
+  }
 
  private:
   void dispatch_loop();

@@ -32,8 +32,8 @@ struct TenantModel {
   core::MeasurementTask task;
   traffic::LinkLoads loads;
   /// Scenario defaults (theta, alpha, restrict_to, baseline failures,
-  /// ecmp); a request's theta / default_alpha / failed override per
-  /// query exactly as on the single-tenant Server.
+  /// ecmp); a request's theta / default_alpha / failed override them
+  /// per query.
   core::ProblemOptions problem;
 };
 

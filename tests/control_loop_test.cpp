@@ -10,7 +10,7 @@
 #include "core/scenario.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "serve/server.hpp"
+#include "tenant/service.hpp"
 #include "traffic/variation.hpp"
 #include "util/rng.hpp"
 
@@ -277,30 +277,30 @@ TEST(ControlLoop, TomogravityFallbackEstimatesPopOds) {
   EXPECT_TRUE(r.reconfigured);
 }
 
-TEST(ControlLoop, ServerHostsControlLoop) {
+TEST(ControlLoop, ServiceHostsControlLoop) {
   const core::GeantScenario s = core::make_geant_scenario();
   obs::ManualClock clock;
-  serve::ServerOptions options;
+  tenant::TenantRegistry registry(&clock);
+  registry.publish("geant", {s.net.graph, s.task, s.loads, {}});
+  tenant::TenantServiceOptions options;
   options.clock = &clock;
   options.start_paused = true;  // no query traffic in this test
-  serve::Server server(s.net.graph, s.task, s.loads, options);
-  ASSERT_EQ(server.control_loop(), nullptr);
+  tenant::TenantService service(registry, options);
 
-  server.start_control();
+  ControlLoop loop(s.net.graph, s.task, {}, service.control_deps());
   const BinObservation bin_obs = observe(s, s.demands);
   for (int bin = 1; bin <= 3; ++bin) {
-    server.control_step(bin_obs);
+    loop.step(bin_obs);
     clock.advance(300s);
   }
-  ASSERT_NE(server.control_loop(), nullptr);
-  EXPECT_EQ(server.control_loop()->bins(), 3);
-  EXPECT_EQ(server.control_loop()->reconfigurations(), 1);
+  EXPECT_EQ(loop.bins(), 3);
+  EXPECT_EQ(loop.reconfigurations(), 1);
 
-  // The loop reports into the server's registry and flight recorder.
-  const std::string prom = server.prometheus();
+  // The loop reports into the service's registry and flight recorder.
+  const std::string prom = service.prometheus();
   EXPECT_NE(prom.find("netmon_control_bins_total"), std::string::npos);
   bool saw_reconfig = false;
-  for (const obs::FlightRecord& rec : server.flight_recorder().dump())
+  for (const obs::FlightRecord& rec : service.flight_recorder().dump())
     if (rec.event == obs::ServeEvent::kControlReconfigure)
       saw_reconfig = true;
   EXPECT_TRUE(saw_reconfig);

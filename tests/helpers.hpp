@@ -1,13 +1,24 @@
 // Shared helpers for netmon tests.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "opt/objective.hpp"
 #include "topo/graph.hpp"
 
 namespace netmon::test {
+
+/// The current value of counter `name` in `registry` (0 when absent).
+inline std::uint64_t counter(const obs::MetricsRegistry& registry,
+                             const std::string& name) {
+  const obs::RegistrySnapshot snapshot = registry.snapshot();
+  const obs::MetricSnapshot* metric = snapshot.find(name);
+  return metric != nullptr ? static_cast<std::uint64_t>(metric->value) : 0;
+}
 
 /// A 4-node line topology A -> B -> C -> D (duplex links, weight 1,
 /// capacity 1 Gb/s). Nodes get masses 4,3,2,1.

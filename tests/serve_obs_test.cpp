@@ -14,27 +14,34 @@
 
 #include "helpers.hpp"
 #include "obs/obs.hpp"
+#include "tenant/service.hpp"
 
 namespace netmon::serve {
 namespace {
 
 using namespace std::chrono_literals;
+using tenant::TenantService;
+using tenant::TenantServiceOptions;
 
+/// A single-model deployment: the line model as the registry's one
+/// (hence default) tenant. The solve cache is off, so every request runs
+/// the solver and its full dispatch lifecycle.
 struct LineModel {
-  topo::Graph graph = test::line_graph();
-  core::MeasurementTask task;
-  traffic::LinkLoads loads;
+  tenant::TenantRegistry registry;
 
   LineModel() {
-    task.ods = {{0, 3}, {1, 3}};
-    task.expected_packets = {5000.0, 3000.0};
-    loads.assign(graph.link_count(), 1000.0);
+    tenant::TenantModel model;
+    model.graph = test::line_graph();
+    model.task.ods = {{0, 3}, {1, 3}};
+    model.task.expected_packets = {5000.0, 3000.0};
+    model.loads.assign(model.graph.link_count(), 1000.0);
+    model.problem.theta = 50000.0;
+    registry.publish("line", std::move(model));
   }
 
-  std::unique_ptr<Server> server(ServerOptions options = {}) const {
-    if (options.problem.theta == core::ProblemOptions{}.theta)
-      options.problem.theta = 50000.0;
-    return std::make_unique<Server>(graph, task, loads, options);
+  std::unique_ptr<TenantService> server(TenantServiceOptions options = {}) {
+    options.cache.max_entries = 0;
+    return std::make_unique<TenantService>(registry, options);
   }
 };
 
@@ -53,7 +60,7 @@ TEST_F(ServeObsTest, ManualClockDrivesDeadlineExpiryWithoutSleeps) {
   // advancing it while the dispatcher is parked expires the request
   // deterministically — no sleeps, no wall-clock races.
   obs::ManualClock clock;
-  ServerOptions options;
+  TenantServiceOptions options;
   options.start_paused = true;
   options.clock = &clock;
   auto srv = model.server(options);
@@ -70,7 +77,9 @@ TEST_F(ServeObsTest, ManualClockDrivesDeadlineExpiryWithoutSleeps) {
   const Response response = future.get();
   EXPECT_EQ(response.status, ResponseStatus::kDeadlineExpired);
   EXPECT_NE(response.error.find("in queue"), std::string::npos);
-  EXPECT_EQ(srv->stats().expired_in_queue, 1u);
+  EXPECT_EQ(test::counter(srv->metrics(),
+                          "netmon_serve_expired_in_queue_total"),
+            1u);
 
   // The flight recorder saw the miss, timestamped by the same clock.
   const auto events = srv->flight_recorder().dump();
@@ -83,7 +92,7 @@ TEST_F(ServeObsTest, ManualClockDrivesDeadlineExpiryWithoutSleeps) {
 
 TEST_F(ServeObsTest, ManualClockBeforeDeadlineStillServes) {
   obs::ManualClock clock;
-  ServerOptions options;
+  TenantServiceOptions options;
   options.start_paused = true;
   options.clock = &clock;
   auto srv = model.server(options);
@@ -114,18 +123,22 @@ TEST_F(ServeObsTest, FlightRecorderCapturesTheRequestLifecycleInOrder) {
     return it == events.end() ? -1 : it - events.begin();
   };
 
+  const std::ptrdiff_t miss = index_of(obs::ServeEvent::kCacheMiss);
   const std::ptrdiff_t admit = index_of(obs::ServeEvent::kAdmit);
   const std::ptrdiff_t dequeue = index_of(obs::ServeEvent::kDequeue);
   const std::ptrdiff_t batch = index_of(obs::ServeEvent::kBatchFormed);
   const std::ptrdiff_t done = index_of(obs::ServeEvent::kSolveDone);
+  ASSERT_GE(miss, 0);
   ASSERT_GE(admit, 0);
   ASSERT_GE(dequeue, 0);
   ASSERT_GE(batch, 0);
   ASSERT_GE(done, 0);
+  EXPECT_LT(miss, admit);
   EXPECT_LT(admit, dequeue);
   EXPECT_LT(dequeue, batch);
   EXPECT_LT(batch, done);
 
+  EXPECT_EQ(events[static_cast<std::size_t>(miss)].request_id, 42u);
   EXPECT_EQ(events[static_cast<std::size_t>(admit)].request_id, 42u);
   EXPECT_EQ(events[static_cast<std::size_t>(done)].request_id, 42u);
   // Timestamps come from one monotonic clock: never decreasing.
@@ -137,12 +150,13 @@ TEST_F(ServeObsTest, FlightRecorderCapturesTheRequestLifecycleInOrder) {
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(jsonl.begin(), jsonl.end(), '\n')),
             events.size());
+  EXPECT_NE(jsonl.find(R"("event":"cache_miss")"), std::string::npos);
   EXPECT_NE(jsonl.find(R"("event":"admit")"), std::string::npos);
   EXPECT_NE(jsonl.find(R"("event":"solve_done")"), std::string::npos);
 }
 
 TEST_F(ServeObsTest, ZeroCapacityDisablesTheFlightRecorder) {
-  ServerOptions options;
+  TenantServiceOptions options;
   options.flight_recorder = 0;
   auto srv = model.server(options);
   LoopbackTransport client(*srv);
@@ -164,7 +178,7 @@ TEST_F(ServeObsTest, PrometheusExportCoversServeAndSolverMetrics) {
   EXPECT_NE(text.find("# TYPE netmon_serve_queue_ms histogram"),
             std::string::npos);
   EXPECT_NE(text.find("netmon_serve_batch_size_count"), std::string::npos);
-  // Solver metrics registered by the server's BatchSolver live in the
+  // Solver metrics registered by the service's BatchSolver live in the
   // same registry and export in the same pass.
   EXPECT_NE(text.find("netmon_solver_solves_total 2\n"), std::string::npos);
   EXPECT_NE(text.find("netmon_solver_iterations_total"), std::string::npos);
@@ -172,9 +186,9 @@ TEST_F(ServeObsTest, PrometheusExportCoversServeAndSolverMetrics) {
             std::string::npos);
 }
 
-TEST_F(ServeObsTest, SolverTraceFlowsThroughTheServer) {
+TEST_F(ServeObsTest, SolverTraceFlowsThroughTheService) {
   obs::SolverTrace trace(1024);
-  ServerOptions options;
+  TenantServiceOptions options;
   options.solver_trace = &trace;
   auto srv = model.server(options);
   LoopbackTransport client(*srv);

@@ -14,11 +14,30 @@
 #include "core/scenario.hpp"
 #include "core/solver.hpp"
 #include "helpers.hpp"
+#include "obs/export.hpp"
+#include "tenant/service.hpp"
 
 namespace netmon::serve {
 namespace {
 
 using namespace std::chrono_literals;
+using tenant::TenantService;
+using tenant::TenantServiceOptions;
+
+core::ProblemOptions at_theta(double theta) {
+  core::ProblemOptions options;
+  options.theta = theta;
+  return options;
+}
+
+/// A single-model deployment: the registry's one (hence default) tenant
+/// behind a TenantService. The solve cache is off, so every request runs
+/// the solver path these tests pin against direct solves.
+std::unique_ptr<TenantService> serve_default(tenant::TenantRegistry& registry,
+                                             TenantServiceOptions options) {
+  options.cache.max_entries = 0;
+  return std::make_unique<TenantService>(registry, options);
+}
 
 // A tiny model (4-node line, 6 links) so queue/deadline mechanics run in
 // microseconds; the GEANT fixture below covers solver-level identity.
@@ -26,17 +45,17 @@ struct LineModel {
   topo::Graph graph = test::line_graph();
   core::MeasurementTask task;
   traffic::LinkLoads loads;
+  tenant::TenantRegistry registry;
 
   LineModel() {
     task.ods = {{0, 3}, {1, 3}};
     task.expected_packets = {5000.0, 3000.0};
     loads.assign(graph.link_count(), 1000.0);
+    registry.publish("line", {graph, task, loads, at_theta(50000.0)});
   }
 
-  std::unique_ptr<Server> server(ServerOptions options = {}) const {
-    if (options.problem.theta == core::ProblemOptions{}.theta)
-      options.problem.theta = 50000.0;
-    return std::make_unique<Server>(graph, task, loads, options);
+  std::unique_ptr<TenantService> server(TenantServiceOptions options = {}) {
+    return serve_default(registry, options);
   }
 };
 
@@ -50,18 +69,27 @@ Request solve_request(std::uint64_t id) {
   return request;
 }
 
-core::ProblemOptions at_theta(double theta) {
-  core::ProblemOptions options;
-  options.theta = theta;
-  return options;
+std::uint64_t counter(const TenantService& srv, const std::string& name) {
+  return test::counter(srv.metrics(), name);
+}
+
+double histogram_max(const TenantService& srv, const std::string& name) {
+  const obs::RegistrySnapshot snapshot = srv.metrics().snapshot();
+  const obs::MetricSnapshot* metric = snapshot.find(name);
+  return metric != nullptr ? metric->max : 0.0;
 }
 
 struct ServeGeantTest : ::testing::Test {
   core::GeantScenario scenario = core::make_geant_scenario();
+  tenant::TenantRegistry registry;
 
-  std::unique_ptr<Server> server(ServerOptions options = {}) const {
-    return std::make_unique<Server>(scenario.net.graph, scenario.task,
-                                    scenario.loads, options);
+  ServeGeantTest() {
+    registry.publish("geant",
+                     {scenario.net.graph, scenario.task, scenario.loads, {}});
+  }
+
+  std::unique_ptr<TenantService> server(TenantServiceOptions options = {}) {
+    return serve_default(registry, options);
   }
 };
 
@@ -202,7 +230,7 @@ TEST_F(ServeGeantTest, MixedWorkloadBitIdenticalAcrossServingPolicies) {
 
   std::vector<std::vector<Response>> runs;
   for (const Policy& policy : policies) {
-    ServerOptions options;
+    TenantServiceOptions options;
     options.threads = policy.threads;
     options.batch.max_batch = policy.max_batch;
     options.batch.linger = policy.linger;
@@ -238,7 +266,7 @@ TEST_F(ServeGeantTest, MixedWorkloadBitIdenticalAcrossServingPolicies) {
 }
 
 TEST_F(ServeLineTest, QueueFullRejectsWithTypedResponse) {
-  ServerOptions options;
+  TenantServiceOptions options;
   options.queue_capacity = 1;
   options.start_paused = true;
   auto srv = model.server(options);
@@ -257,14 +285,13 @@ TEST_F(ServeLineTest, QueueFullRejectsWithTypedResponse) {
   srv->resume();
   EXPECT_EQ(admitted.get().status, ResponseStatus::kOk);
 
-  const StatsSnapshot stats = srv->stats();
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.rejected_queue_full, 1u);
-  EXPECT_EQ(stats.served_ok, 1u);
+  EXPECT_EQ(counter(*srv, "netmon_serve_submitted_total"), 2u);
+  EXPECT_EQ(counter(*srv, "netmon_serve_rejected_queue_full_total"), 1u);
+  EXPECT_EQ(counter(*srv, "netmon_serve_served_total"), 1u);
 }
 
 TEST_F(ServeLineTest, DeadlineExpiresInQueue) {
-  ServerOptions options;
+  TenantServiceOptions options;
   options.start_paused = true;
   auto srv = model.server(options);
   LoopbackTransport client(*srv);
@@ -279,7 +306,7 @@ TEST_F(ServeLineTest, DeadlineExpiresInQueue) {
   const Response response = future.get();
   EXPECT_EQ(response.status, ResponseStatus::kDeadlineExpired);
   EXPECT_NE(response.error.find("in queue"), std::string::npos);
-  EXPECT_EQ(srv->stats().expired_in_queue, 1u);
+  EXPECT_EQ(counter(*srv, "netmon_serve_expired_in_queue_total"), 1u);
 }
 
 TEST_F(ServeGeantTest, IterationBudgetTruncatesMidSolveDeterministically) {
@@ -296,7 +323,7 @@ TEST_F(ServeGeantTest, IterationBudgetTruncatesMidSolveDeterministically) {
   ASSERT_EQ(truncated.solutions.size(), 1u);
   EXPECT_EQ(truncated.solutions[0].status, opt::SolveStatus::kCancelled);
   EXPECT_EQ(truncated.solutions[0].iterations, 1);
-  EXPECT_EQ(srv->stats().expired_mid_solve, 1u);
+  EXPECT_EQ(counter(*srv, "netmon_serve_expired_mid_solve_total"), 1u);
 
   // Deterministic: the same budget truncates at the same point.
   const Response again = client.call([]{ Request r; r.iteration_budget = 1; return r; }());
@@ -304,7 +331,7 @@ TEST_F(ServeGeantTest, IterationBudgetTruncatesMidSolveDeterministically) {
 }
 
 TEST_F(ServeLineTest, WallClockDeadlineExpiresMidSolve) {
-  ServerOptions options;
+  TenantServiceOptions options;
   options.threads = 1;
   auto srv = model.server(options);
   LoopbackTransport client(*srv);
@@ -319,8 +346,9 @@ TEST_F(ServeLineTest, WallClockDeadlineExpiresMidSolve) {
   request.deadline_ms = 1;
   const Response response = client.call(std::move(request));
   EXPECT_EQ(response.status, ResponseStatus::kDeadlineExpired);
-  const StatsSnapshot stats = srv->stats();
-  EXPECT_EQ(stats.expired_in_queue + stats.expired_mid_solve, 1u);
+  EXPECT_EQ(counter(*srv, "netmon_serve_expired_in_queue_total") +
+                counter(*srv, "netmon_serve_expired_mid_solve_total"),
+            1u);
 }
 
 TEST_F(ServeLineTest, BadRequestsGetTypedValidationErrors) {
@@ -343,12 +371,12 @@ TEST_F(ServeLineTest, BadRequestsGetTypedValidationErrors) {
   bad_theta.theta = -5.0;
   EXPECT_EQ(client.call(bad_theta).status, ResponseStatus::kBadRequest);
 
-  EXPECT_EQ(srv->stats().bad_requests, 4u);
-  EXPECT_EQ(srv->stats().served_ok, 0u);
+  EXPECT_EQ(counter(*srv, "netmon_serve_bad_requests_total"), 4u);
+  EXPECT_EQ(counter(*srv, "netmon_serve_served_total"), 0u);
 }
 
 TEST_F(ServeLineTest, ShutdownAnswersEveryParkedRequest) {
-  ServerOptions options;
+  TenantServiceOptions options;
   options.start_paused = true;
   options.queue_capacity = 8;
   auto srv = model.server(options);
@@ -367,11 +395,11 @@ TEST_F(ServeLineTest, ShutdownAnswersEveryParkedRequest) {
   // Submits after stop are rejected, also typed.
   const Response late = client.call(solve_request(99));
   EXPECT_EQ(late.status, ResponseStatus::kShutdown);
-  EXPECT_EQ(srv->stats().rejected_shutdown, 6u);
+  EXPECT_EQ(counter(*srv, "netmon_serve_rejected_shutdown_total"), 6u);
 }
 
 TEST_F(ServeLineTest, StatsCountersBalanceAndExportAsJson) {
-  ServerOptions options;
+  TenantServiceOptions options;
   options.batch.max_batch = 4;
   auto srv = model.server(options);
   LoopbackTransport client(*srv);
@@ -382,28 +410,32 @@ TEST_F(ServeLineTest, StatsCountersBalanceAndExportAsJson) {
   futures.push_back(client.send([]{ Request r; r.kind = RequestKind::kThetaSweep; return r; }()));
   for (auto& future : futures) future.get();
 
-  const StatsSnapshot stats = srv->stats();
-  EXPECT_EQ(stats.submitted, 7u);
-  EXPECT_EQ(stats.submitted,
-            stats.served_ok + stats.rejected_queue_full +
-                stats.rejected_shutdown + stats.bad_requests +
-                stats.expired_in_queue + stats.expired_mid_solve);
-  EXPECT_EQ(stats.served_ok, 6u);
-  EXPECT_EQ(stats.bad_requests, 1u);
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_EQ(stats.problems_solved, 6u);
-  EXPECT_GE(stats.batch_size_max, 1.0);
-  EXPECT_LE(stats.batch_size_max, 4.0);
+  const std::uint64_t submitted =
+      counter(*srv, "netmon_serve_submitted_total");
+  const std::uint64_t served = counter(*srv, "netmon_serve_served_total");
+  const std::uint64_t bad = counter(*srv, "netmon_serve_bad_requests_total");
+  EXPECT_EQ(submitted, 7u);
+  EXPECT_EQ(submitted,
+            served + bad +
+                counter(*srv, "netmon_serve_rejected_queue_full_total") +
+                counter(*srv, "netmon_serve_rejected_shutdown_total") +
+                counter(*srv, "netmon_serve_expired_in_queue_total") +
+                counter(*srv, "netmon_serve_expired_mid_solve_total"));
+  EXPECT_EQ(served, 6u);
+  EXPECT_EQ(bad, 1u);
+  EXPECT_GE(counter(*srv, "netmon_serve_batches_total"), 1u);
+  EXPECT_EQ(counter(*srv, "netmon_serve_problems_solved_total"), 6u);
+  EXPECT_GE(histogram_max(*srv, "netmon_serve_batch_size"), 1.0);
+  EXPECT_LE(histogram_max(*srv, "netmon_serve_batch_size"), 4.0);
 
-  const std::string json = srv->stats_json();
-  EXPECT_NE(json.find("serve"), std::string::npos);
-  EXPECT_NE(json.find("counters"), std::string::npos);
-  EXPECT_NE(json.find("latency_ms"), std::string::npos);
-  EXPECT_NE(json.find("submitted"), std::string::npos);
+  const std::string json = obs::metrics_jsonl(srv->metrics());
+  EXPECT_NE(json.find("\"netmon_serve_submitted_total\""), std::string::npos);
+  EXPECT_NE(json.find("\"netmon_serve_queue_ms\""), std::string::npos);
+  EXPECT_NE(json.find("\"netmon_serve_solve_ms\""), std::string::npos);
 }
 
 TEST_F(ServeLineTest, BatcherRespectsMaxBatchAndLinger) {
-  ServerOptions options;
+  TenantServiceOptions options;
   options.start_paused = true;
   options.batch.max_batch = 2;
   options.queue_capacity = 16;
@@ -417,17 +449,17 @@ TEST_F(ServeLineTest, BatcherRespectsMaxBatchAndLinger) {
   for (auto& future : futures)
     EXPECT_EQ(future.get().status, ResponseStatus::kOk);
 
-  const StatsSnapshot stats = srv->stats();
-  EXPECT_LE(stats.batch_size_max, 2.0);
-  EXPECT_GE(stats.batches, 3u);  // 5 requests in batches of <= 2
+  EXPECT_LE(histogram_max(*srv, "netmon_serve_batch_size"), 2.0);
+  // 5 requests in batches of <= 2
+  EXPECT_GE(counter(*srv, "netmon_serve_batches_total"), 3u);
 }
 
 TEST_F(ServeLineTest, DestructorDrainsCleanly) {
-  // A server destroyed with requests still parked must answer them all
+  // A service destroyed with requests still parked must answer them all
   // (typed) before the promise objects die — no broken futures.
   std::future<Response> parked;
   {
-    ServerOptions options;
+    TenantServiceOptions options;
     options.start_paused = true;
     auto srv = model.server(options);
     LoopbackTransport client(*srv);

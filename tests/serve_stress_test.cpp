@@ -13,6 +13,7 @@
 
 #include "serve/serve.hpp"
 #include "helpers.hpp"
+#include "tenant/service.hpp"
 
 namespace netmon::serve {
 namespace {
@@ -43,19 +44,28 @@ struct Tally {
   }
 };
 
-TEST(ServeStress, ConcurrentProducersAgainstTinyQueue) {
-  topo::Graph graph = test::line_graph();
-  core::MeasurementTask task;
-  task.ods = {{0, 3}, {1, 3}};
-  task.expected_packets = {5000.0, 3000.0};
-  traffic::LinkLoads loads(graph.link_count(), 1000.0);
+/// The line model with the given task, at theta 50000.
+tenant::TenantModel line_model(std::vector<routing::OdPair> ods,
+                               std::vector<double> expected_packets) {
+  tenant::TenantModel model;
+  model.graph = test::line_graph();
+  model.task.ods = std::move(ods);
+  model.task.expected_packets = std::move(expected_packets);
+  model.loads.assign(model.graph.link_count(), 1000.0);
+  model.problem.theta = 50000.0;
+  return model;
+}
 
-  ServerOptions options;
+TEST(ServeStress, ConcurrentProducersAgainstTinyQueue) {
+  tenant::TenantRegistry registry;
+  registry.publish("line", line_model({{0, 3}, {1, 3}}, {5000.0, 3000.0}));
+
+  tenant::TenantServiceOptions options;
   options.queue_capacity = 4;  // tiny on purpose: exercise backpressure
   options.batch.max_batch = 3;
   options.batch.linger = 1ms;
-  options.problem.theta = 50000.0;
-  Server server(graph, task, loads, options);
+  options.cache.max_entries = 0;  // every admitted request is queued
+  tenant::TenantService server(registry, options);
 
   constexpr int kProducers = 8;
   constexpr int kPerProducer = 40;
@@ -102,33 +112,38 @@ TEST(ServeStress, ConcurrentProducersAgainstTinyQueue) {
   EXPECT_EQ(tally.shutdown, 0u);
   EXPECT_GT(tally.ok, 0u);
 
-  const StatsSnapshot stats = server.stats();
-  EXPECT_EQ(stats.submitted, tally.total());
-  EXPECT_EQ(stats.rejected_queue_full, tally.rejected);
-  EXPECT_EQ(stats.served_ok, tally.ok);
-  EXPECT_EQ(stats.expired_in_queue + stats.expired_mid_solve,
+  const obs::RegistrySnapshot stats = server.metrics().snapshot();
+  auto count = [&](const char* name) {
+    return static_cast<std::uint64_t>(stats.find(name)->value);
+  };
+  EXPECT_EQ(count("netmon_serve_submitted_total"), tally.total());
+  EXPECT_EQ(count("netmon_serve_rejected_queue_full_total"), tally.rejected);
+  EXPECT_EQ(count("netmon_serve_served_total"), tally.ok);
+  EXPECT_EQ(count("netmon_serve_expired_in_queue_total") +
+                count("netmon_serve_expired_mid_solve_total"),
             tally.expired);
-  EXPECT_EQ(stats.submitted, stats.enqueued + stats.rejected_queue_full);
-  EXPECT_LE(stats.batch_size_max, 3.0);
-  EXPECT_LE(stats.queue_depth_max, 4.0);
+  EXPECT_EQ(count("netmon_serve_submitted_total"),
+            count("netmon_serve_enqueued_total") +
+                count("netmon_serve_rejected_queue_full_total"));
+  EXPECT_LE(stats.find("netmon_serve_batch_size")->max, 3.0);
+  EXPECT_LE(stats.find("netmon_serve_queue_depth")->max, 4.0);
 
   // Stopping with traffic settled is idempotent and answers nothing new.
   server.stop();
   server.stop();
-  EXPECT_EQ(server.stats().rejected_shutdown, 0u);
+  EXPECT_EQ(test::counter(server.metrics(),
+                          "netmon_serve_rejected_shutdown_total"),
+            0u);
 }
 
 TEST(ServeStress, SubmittersRacingShutdownAlwaysGetAnswers) {
-  topo::Graph graph = test::line_graph();
-  core::MeasurementTask task;
-  task.ods = {{0, 3}};
-  task.expected_packets = {5000.0};
-  traffic::LinkLoads loads(graph.link_count(), 1000.0);
+  tenant::TenantRegistry registry;
+  registry.publish("line", line_model({{0, 3}}, {5000.0}));
 
-  ServerOptions options;
+  tenant::TenantServiceOptions options;
   options.queue_capacity = 4;
-  options.problem.theta = 50000.0;
-  Server server(graph, task, loads, options);
+  options.cache.max_entries = 0;
+  tenant::TenantService server(registry, options);
 
   Tally tally;
   std::vector<std::thread> producers;

@@ -20,28 +20,34 @@
 #include "helpers.hpp"
 #include "obs/clock.hpp"
 #include "serve/loopback.hpp"
-#include "serve/server.hpp"
 #include "serve/wire.hpp"
+#include "tenant/service.hpp"
 
 namespace netmon::serve {
 namespace {
 
 using namespace std::chrono_literals;
 
+/// A single-model deployment: the line model as the registry's one
+/// (hence default) tenant. The solve cache is off, so the loopback half
+/// of a bit-identity check solves instead of replaying the TCP answer.
 struct LineModel {
-  topo::Graph graph = test::line_graph();
-  core::MeasurementTask task;
-  traffic::LinkLoads loads;
+  tenant::TenantRegistry registry;
 
   LineModel() {
-    task.ods = {{0, 3}, {1, 3}};
-    task.expected_packets = {5000.0, 3000.0};
-    loads.assign(graph.link_count(), 1000.0);
+    tenant::TenantModel model;
+    model.graph = test::line_graph();
+    model.task.ods = {{0, 3}, {1, 3}};
+    model.task.expected_packets = {5000.0, 3000.0};
+    model.loads.assign(model.graph.link_count(), 1000.0);
+    model.problem.theta = 50000.0;
+    registry.publish("line", std::move(model));
   }
 
-  std::unique_ptr<Server> server(ServerOptions options = {}) const {
-    options.problem.theta = 50000.0;
-    return std::make_unique<Server>(graph, task, loads, options);
+  std::unique_ptr<tenant::TenantService> server(
+      tenant::TenantServiceOptions options = {}) {
+    options.cache.max_entries = 0;
+    return std::make_unique<tenant::TenantService>(registry, options);
   }
 };
 
@@ -126,7 +132,7 @@ TEST_F(ServeTcpTest, SolveRoundTripsOverRealSockets) {
 }
 
 TEST_F(ServeTcpTest, TcpAndLoopbackAnswerBitIdentically) {
-  // One server, both transports: the acceptance criterion is that the
+  // One service, both transports: the acceptance criterion is that the
   // transport never leaks into the answer.
   auto srv = model.server();
   TcpServer tcp(*srv);
@@ -306,12 +312,12 @@ TEST_F(ServeTcpTest, StopDrainsInFlightRequestsBeforeClosing) {
 }
 
 TEST_F(ServeTcpTest, StopWithAParkedDispatcherTimesOutTheDrain) {
-  // A paused Server never answers, so the drain must give up at
+  // A paused service never answers, so the drain must give up at
   // drain_timeout and close the connection; the client's future
   // completes typed.
-  ServerOptions server_options;
-  server_options.start_paused = true;
-  auto srv = model.server(server_options);
+  tenant::TenantServiceOptions service_options;
+  service_options.start_paused = true;
+  auto srv = model.server(service_options);
   TcpServerOptions options;
   options.drain_timeout = 100ms;
   TcpServer tcp(*srv, options);

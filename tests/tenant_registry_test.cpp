@@ -90,15 +90,39 @@ TEST(TenantRegistry, InconsistentModelsNeverPublish) {
   TenantRegistry registry;
   TenantModel bad = line_model();
   bad.loads.pop_back();  // loads no longer cover every link
-  EXPECT_THROW(registry.publish("t", std::move(bad)), Error);
-  EXPECT_EQ(registry.acquire("t"), nullptr);
+  EXPECT_THROW(registry.publish("bad", std::move(bad)), Error);
+  // A failed first publish leaves no trace: no name, no default.
+  EXPECT_EQ(registry.acquire("bad"), nullptr);
+  EXPECT_EQ(registry.size(), 0u);
+  EXPECT_TRUE(registry.tenants().empty());
+  EXPECT_EQ(registry.default_tenant(), "");
 
-  registry.publish("t", line_model());
+  // So the next good publish becomes the default.
+  EXPECT_EQ(registry.publish("t", line_model()), 1u);
+  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.default_tenant(), "t");
+  ASSERT_NE(registry.acquire(""), nullptr);
+  EXPECT_EQ(registry.acquire("")->name(), "t");
+
   TenantModel bad2 = line_model();
   bad2.task.ods.clear();
   EXPECT_THROW(registry.publish("t", std::move(bad2)), Error);
   // The previous epoch keeps serving.
   EXPECT_EQ(registry.acquire("t")->epoch(), 1u);
+}
+
+TEST(TenantRegistry, ConcurrentFirstPublishesGetConsecutiveEpochs) {
+  TenantRegistry registry;
+  std::atomic<std::uint64_t> epochs{0};
+  std::vector<std::thread> publishers;
+  for (int p = 0; p < 2; ++p)
+    publishers.emplace_back([&] {
+      epochs.fetch_add(registry.publish("t", line_model()));
+    });
+  for (std::thread& publisher : publishers) publisher.join();
+  EXPECT_EQ(epochs.load(), 3u);  // epochs 1 and 2, in either order
+  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.acquire("t")->epoch(), 2u);
 }
 
 // The TSan target: readers continuously acquire and *use* the snapshot

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/solver.hpp"
 #include "helpers.hpp"
 #include "obs/clock.hpp"
 #include "serve/serve.hpp"
@@ -77,22 +78,23 @@ TEST(TenantService, ResponsesEchoTheResolvedTenant) {
   ASSERT_EQ(response.solutions.size(), 1u);
 }
 
-TEST(TenantService, AnswersMatchASingleTenantServerBitExactly) {
+TEST(TenantService, AnswersMatchADirectSolveBitExactly) {
   TenantRegistry registry;
   registry.publish("alpha", line_model());
   TenantService service(registry);
 
-  const TenantModel model = line_model();
-  serve::ServerOptions options;
-  options.problem = model.problem;
-  serve::Server reference(model.graph, model.task, model.loads, options);
-
   serve::Request request = solve_request(9, "alpha");
   request.failed = {3};
   const serve::Response tenant_answer = service.submit(request).get();
-  const serve::Response direct_answer = reference.submit(request).get();
   ASSERT_EQ(tenant_answer.status, serve::ResponseStatus::kOk);
-  ASSERT_EQ(direct_answer.status, serve::ResponseStatus::kOk);
+
+  // The same problem assembled and solved without any serving layer.
+  const TenantModel model = line_model();
+  core::ProblemOptions options = model.problem;
+  options.failed.insert(3);
+  serve::Response direct_answer;
+  direct_answer.solutions.push_back(core::solve_placement(
+      core::PlacementProblem(model.graph, model.task, model.loads, options)));
   expect_identical_solutions(tenant_answer, direct_answer);
 }
 
