@@ -120,7 +120,7 @@ int run() {
       .metric("terms", static_cast<double>(terms))
       .metric("gen_ms", gen_ms)
       .metric("build_ms", theta_ms + build_ms)
-      .metric("approx_groups", static_cast<double>(approx.groups))
+      .metric("partition_groups", static_cast<double>(approx.groups))
       .metric("approx_ms", approx_ms)
       .metric("approx_value", approx.solution.total_utility)
       .metric("gap_rel", gap_rel)

@@ -423,16 +423,13 @@ void RunKernelBench() {
 // terms — the layout the line-search restriction feeds the kernels
 // after its reset()-time partition — and carries the gated metrics
 // (fused_scalar_ns / fused_simd_ns / simd_speedup / bit_identical /
-// simd_level) plus the opt-in fast-math leg's speedup and measured
-// relative error.
+// simd_level).
 void RunSimdKernelSweep() {
   const opt::SimdLevel max_level = opt::simd_max_level();
   std::printf(
       "\n-- utility batch kernels: leveled SIMD dispatch (max=%s) --\n",
       opt::simd_level_name(max_level));
   const opt::SimdLevel saved_level = opt::simd_dispatch_level();
-  const bool saved_fm = opt::simd_fastmath_enabled();
-  opt::set_simd_fastmath(false);
 
   enum Mix { kQuad, kRat, kSplit, kInterleaved, kLogUniform };
   struct Sweep {
@@ -498,8 +495,7 @@ void RunSimdKernelSweep() {
     double simd_ns = 0.0;  // at max_level
     bool identical = true;
   };
-  const auto run_row = [&](const char* name, Mix mix, std::size_t terms,
-                           std::vector<double>* scalar_out = nullptr) {
+  const auto run_row = [&](const char* name, Mix mix, std::size_t terms) {
     const Sweep s = make_sweep(mix, terms);
     const std::size_t m = s.x.size();
     util::PageVector<double> v_s(m), m1_s(m), m2_s(m), v(m), m1(m), m2(m);
@@ -520,43 +516,11 @@ void RunSimdKernelSweep() {
                 name, terms, row.scalar_ns, opt::simd_level_name(max_level),
                 row.simd_ns, row.scalar_ns / row.simd_ns,
                 row.identical ? "bit-identical" : "MISMATCH");
-    if (scalar_out != nullptr) {
-      scalar_out->clear();
-      scalar_out->insert(scalar_out->end(), v_s.begin(), v_s.end());
-      scalar_out->insert(scalar_out->end(), m1_s.begin(), m1_s.end());
-      scalar_out->insert(scalar_out->end(), m2_s.begin(), m2_s.end());
-    }
     return row;
   };
 
-  // Headline case first: regime-partitioned SRE at 4096 terms, plus its
-  // fast-math leg (reciprocal + Newton; gated on relative error, not on
-  // bit identity).
-  std::vector<double> headline_ref;
-  const Row headline = run_row("sre_split_4096", kSplit, 4096, &headline_ref);
-  double fastmath_ns = headline.simd_ns;
-  double fastmath_rel_err = 0.0;
-  if (max_level != opt::SimdLevel::kScalar) {
-    const Sweep s = make_sweep(kSplit, 4096);
-    const std::size_t m = s.x.size();
-    util::PageVector<double> v(m), m1(m), m2(m);
-    opt::set_simd_dispatch_level(max_level);
-    opt::set_simd_fastmath(true);
-    fastmath_ns = min_ns(s, v, m1, m2);
-    opt::set_simd_fastmath(false);
-    const auto rel = [&](double got, double ref) {
-      return std::abs(got - ref) / std::max(1.0, std::abs(ref));
-    };
-    for (std::size_t k = 0; k < m; ++k) {
-      fastmath_rel_err = std::max(
-          {fastmath_rel_err, rel(v[k], headline_ref[k]),
-           rel(m1[k], headline_ref[m + k]), rel(m2[k], headline_ref[2 * m + k])});
-    }
-    std::printf("  %-18s terms=%-6zu fastmath=%6.0f ns  speedup=%.2fx  "
-                "rel_err=%.2e\n",
-                "sre_split_4096/fm", m, fastmath_ns,
-                headline.scalar_ns / fastmath_ns, fastmath_rel_err);
-  }
+  // Headline case first: regime-partitioned SRE at 4096 terms.
+  const Row headline = run_row("sre_split_4096", kSplit, 4096);
 
   // The full grid: every family x regime mix x size.
   std::vector<Row> rows;
@@ -569,12 +533,13 @@ void RunSimdKernelSweep() {
     rows.push_back(run_row(label("rat").c_str(), kRat, terms));
     rows.push_back(run_row(label("split").c_str(), kSplit, terms));
     rows.push_back(run_row(label("mixed").c_str(), kInterleaved, terms));
+    // LogOps is scalar-only (core/utility_kernels.hpp), so every level
+    // runs the scalar kernel here: these rows time it against itself.
     rows.push_back(run_row(
         ("log_uniform_" + std::to_string(terms)).c_str(), kLogUniform,
         terms));
   }
   opt::set_simd_dispatch_level(saved_level);
-  opt::set_simd_fastmath(saved_fm);
 
   bool all_identical = headline.identical;
   for (const Row& row : rows) all_identical = all_identical && row.identical;
@@ -588,9 +553,6 @@ void RunSimdKernelSweep() {
       .metric("fused_scalar_ns", headline.scalar_ns)
       .metric("fused_simd_ns", headline.simd_ns)
       .metric("simd_speedup", headline.scalar_ns / headline.simd_ns)
-      .metric("fastmath_ns", fastmath_ns)
-      .metric("fastmath_speedup", headline.scalar_ns / fastmath_ns)
-      .metric("fastmath_rel_err", fastmath_rel_err)
       .metric("bit_identical", all_identical ? 1.0 : 0.0);
   for (const Row& row : rows) {
     report.result(row.name)

@@ -31,6 +31,13 @@ cd "$(dirname "$0")/.."
 PREFIX="${1:-build}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
+# Anchored ctest regex matching exactly the named tests: ^(a|b|...)$.
+# Each leg writes its test list once and derives the -R filter from it.
+test_regex() {
+  local IFS='|'
+  echo "^($*)\$"
+}
+
 echo "== tier-1: build + full test suite =="
 cmake -B "${PREFIX}" -S .
 cmake --build "${PREFIX}" -j "${JOBS}"
@@ -49,7 +56,7 @@ cmake -B "${PREFIX}-tsan" -S . -DNETMON_SANITIZE=thread
 # shellcheck disable=SC2086
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" --target ${TSAN_TESTS}
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-  -R 'runtime_thread_pool_test|runtime_parallel_test|core_batch_solver_test|sampling_simulation_test|serve_service_test|serve_stress_test|obs_ring_test|obs_metrics_test|serve_obs_test|control_tracker_test|control_policy_test|control_actuator_test|control_loop_test|opt_parallel_solve_test|core_approx_test|core_scale_smoke_test|ingest_spsc_ring_test|ingest_pipeline_test|serve_tcp_test|tenant_registry_test|tenant_cache_test|tenant_service_test'
+  -R "$(test_regex ${TSAN_TESTS})"
 
 echo "== tier-2: ASan gate on linalg kernels + solver + wire decoding =="
 ASAN_TESTS="linalg_sparse_test opt_objective_test opt_gradient_projection_test \
@@ -59,7 +66,7 @@ cmake -B "${PREFIX}-asan" -S . -DNETMON_SANITIZE=address
 # shellcheck disable=SC2086
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target ${ASAN_TESTS}
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-  -R 'linalg_sparse_test|opt_objective_test|opt_gradient_projection_test|opt_zero_alloc_test|core_solver_test|estimate_flow_inversion_test|serve_wire_test|serve_tcp_fuzz_test'
+  -R "$(test_regex ${ASAN_TESTS})"
 
 echo "== tier-2: UBSan gate on the fused batch kernels + solver =="
 UBSAN_TESTS="core_utility_test opt_fused_eval_test opt_objective_test \
@@ -68,7 +75,7 @@ cmake -B "${PREFIX}-ubsan" -S . -DNETMON_SANITIZE=undefined
 # shellcheck disable=SC2086
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target ${UBSAN_TESTS}
 ctest --test-dir "${PREFIX}-ubsan" --output-on-failure -j "${JOBS}" \
-  -R 'core_utility_test|opt_fused_eval_test|opt_objective_test|opt_gradient_projection_test|core_solver_test|opt_simd_dispatch_test'
+  -R "$(test_regex ${UBSAN_TESTS})"
 
 echo "== tier-2: x86-64-v3 leg — SIMD suites at every dispatch level =="
 # The wider baseline ISA lets the compiler auto-vectorize every TU; the
@@ -85,7 +92,7 @@ for level in scalar avx2 avx512 auto; do
   echo "-- NETMON_SIMD=${level} --"
   NETMON_SIMD="${level}" ctest --test-dir "${PREFIX}-v3" \
     --output-on-failure -j "${JOBS}" \
-    -R 'opt_simd_dispatch_test|opt_fused_eval_test|core_utility_test|opt_objective_test'
+    -R "$(test_regex ${SIMD_TESTS})"
 done
 
 echo "== obs gate: traced run artifacts (trace/metrics/flight/control) =="

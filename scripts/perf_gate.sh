@@ -4,9 +4,8 @@
 # committed baseline BENCH_solver.json. Fails on a >20% regression —
 # slower for the ns-scale kernel timings, lower for the throughput and
 # speedup metrics — on any scalar/SIMD bit-identity mismatch at any
-# dispatch level, on simd_speedup below its hard 1.3x floor (when a
-# vector level is available; 4.0x is the warn-only target), and on a
-# fast-math relative error above 1e-12.
+# dispatch level, and on simd_speedup below its hard 1.3x floor (when a
+# vector level is available; 4.0x is the warn-only target).
 # A second section reruns scaling_perf (the 100k+-link instance) against
 # BENCH_scaling.json: the certified approximation gap is a hard <= 1%
 # cap, the 8-thread intra-solve speedup has a >= 2x floor on machines
@@ -151,23 +150,6 @@ if awk -v l="${simd_level:-0}" 'BEGIN { exit (l >= 1) ? 0 : 1 }'; then
   fi
 else
   echo "perf_gate: skip simd_speedup           (simd_level=${simd_level:-?}: no vector level)"
-fi
-
-# Fast-math leg: the opt-in reciprocal+Newton kernels are NOT bit-exact;
-# their contract is the per-run measured relative error against the
-# exact scalar reference, capped at 1e-12. The speedup is recorded for
-# the trajectory but not gated (it shares the exact leg's floor).
-fastmath_rel_err="$(extract "${TMP}" fastmath_rel_err)"
-fastmath_speedup="$(extract "${TMP}" fastmath_speedup)"
-if awk -v l="${simd_level:-0}" 'BEGIN { exit (l >= 1) ? 0 : 1 }'; then
-  if awk -v e="${fastmath_rel_err:-1}" 'BEGIN { exit (e <= 1e-12) ? 0 : 1 }'; then
-    echo "perf_gate: ok   fastmath_rel_err       ${fastmath_rel_err} (cap 1e-12, speedup=${fastmath_speedup})"
-  else
-    echo "perf_gate: FAIL fastmath_rel_err       ${fastmath_rel_err} (> 1e-12 cap)"
-    fail=1
-  fi
-else
-  echo "perf_gate: skip fastmath_rel_err       (no vector level)"
 fi
 
 # ---- scaling section: the 100k+-link instance -------------------------

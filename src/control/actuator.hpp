@@ -10,10 +10,6 @@
 // the push rate even when oscillating traffic keeps clearing the
 // threshold. Contract repairs (topology change, budget violation, first
 // configuration) are forced: correctness beats damping.
-//
-// This header is dependency-free on purpose: core::MonitorController
-// delegates its legacy per-cycle decision here, so there is exactly one
-// hysteresis implementation in the tree.
 #pragma once
 
 namespace netmon::control {
@@ -21,8 +17,7 @@ namespace netmon::control {
 /// Damping knobs.
 struct ActuatorConfig {
   /// Push only when fresh utility - incumbent utility >= this (a gain
-  /// exactly at the threshold pushes). Matches the legacy
-  /// core::ControllerOptions::min_utility_gain default.
+  /// exactly at the threshold pushes).
   double min_utility_gain = 1e-3;
   /// Minimum bins between non-forced pushes (0 = no cooldown). Bounds
   /// the reconfiguration rate under oscillating traffic whose per-bin

@@ -19,9 +19,6 @@ core::BatchOptions make_batch_options(const ControlConfig& config,
   options.threads = 1;
   options.solver = config.solver;
   options.metrics = deps.metrics;
-  options.tier = config.tier;
-  options.approx = config.approx;
-  options.approx_groups = config.approx_groups;
   return options;
 }
 

@@ -71,15 +71,6 @@ struct ControlConfig {
   /// from the link loads via estimate::tomogravity (ODs the inversion
   /// cannot see are treated as missing measurements).
   bool tomogravity_fallback = true;
-  /// Tier selection for re-solves (core/approx): per-bin problems at or
-  /// above tier.approx_min_candidates route to the partitioned
-  /// approximation tier when approx_groups > 0 enables it (partitions
-  /// are derived per problem by deterministic BFS, since the candidate
-  /// space can change bin to bin). 0 keeps every re-solve exact.
-  core::TierPolicy tier;
-  std::size_t approx_groups = 0;
-  /// Approximation-tier solve configuration.
-  core::ApproxOptions approx;
 };
 
 /// One measurement bin's inputs.

@@ -61,15 +61,6 @@ std::vector<double> water_fill(double theta, const std::vector<double>& caps,
 
 }  // namespace
 
-SolveTier choose_tier(std::size_t candidates, const TierPolicy& policy) {
-  if (candidates >= policy.approx_min_candidates) return SolveTier::kApprox;
-  if (policy.deadline_ms > 0.0 &&
-      static_cast<double>(candidates) / policy.exact_candidates_per_ms >
-          policy.deadline_ms)
-    return SolveTier::kApprox;
-  return SolveTier::kExact;
-}
-
 ApproxResult solve_approx(const PlacementProblem& problem,
                           const Partition& partition,
                           const ApproxOptions& options) {

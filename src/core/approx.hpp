@@ -75,24 +75,4 @@ ApproxResult solve_approx(const PlacementProblem& problem,
                           const Partition& partition,
                           const ApproxOptions& options = {});
 
-/// Tier selection policy: when does an instance leave the exact path?
-struct TierPolicy {
-  /// Candidate-count threshold at or above which the approximate tier is
-  /// chosen. Paper-scale instances (GEANT: dozens of candidates) always
-  /// stay exact.
-  std::size_t approx_min_candidates = 4096;
-  /// Optional deadline (ms). When positive, instances whose predicted
-  /// exact solve exceeds it also route to the approximate tier.
-  double deadline_ms = 0.0;
-  /// Predicted exact-solve throughput used against the deadline:
-  /// candidates processed per millisecond per iteration budget. The
-  /// default is deliberately conservative (measured two-orders below
-  /// typical hardware) so deadline routing only fires on clearly
-  /// oversized instances.
-  double exact_candidates_per_ms = 50.0;
-};
-
-/// Picks the tier for an instance of `candidates` variables.
-SolveTier choose_tier(std::size_t candidates, const TierPolicy& policy);
-
 }  // namespace netmon::core

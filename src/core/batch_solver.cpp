@@ -101,31 +101,6 @@ std::vector<PlacementSolution> BatchSolver::solve_items(
     opt::SolverOptions overlay;  // per-item options + instrumentation
     for (std::size_t i = chunks[c].first; i < chunks[c].second; ++i) {
       const BatchItem& item = items[i];
-      // Tier selection: items carrying a partition may route to the
-      // approximation tier by size or deadline. The approx solve runs on
-      // the chunk worker (its own subsolve fan-out, if configured, is a
-      // nested TaskGroup whose waits help, so any pool size is safe).
-      if (item.partition != nullptr || options_.approx_groups > 0) {
-        TierPolicy policy = options_.tier;
-        if (item.deadline_ms > 0.0) policy.deadline_ms = item.deadline_ms;
-        if (choose_tier(item.problem->candidates().size(), policy) ==
-            SolveTier::kApprox) {
-          if (item.partition != nullptr) {
-            solutions[i] =
-                solve_approx(*item.problem, *item.partition, options_.approx)
-                    .solution;
-          } else {
-            const Partition part =
-                partition_bfs(*item.problem, options_.approx_groups);
-            solutions[i] =
-                solve_approx(*item.problem, part, options_.approx).solution;
-          }
-          solves_.fetch_add(1, std::memory_order_relaxed);
-          iterations_hist_.observe(
-              static_cast<double>(solutions[i].iterations));
-          continue;
-        }
-      }
       const opt::SolverOptions* solver = &effective_solver_;
       if (item.solver != nullptr) {
         if (instrumented_) {

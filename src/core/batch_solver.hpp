@@ -16,8 +16,6 @@
 #include <span>
 #include <vector>
 
-#include "core/approx.hpp"
-#include "core/partition.hpp"
 #include "core/problem.hpp"
 #include "core/solver.hpp"
 #include "obs/metrics.hpp"
@@ -50,20 +48,6 @@ struct BatchOptions {
   /// carry a solve id, so concurrent chunk workers interleave safely).
   /// A per-item SolverOptions::trace, if any, takes precedence.
   obs::SolverTrace* trace = nullptr;
-  /// Tier selection for items that carry a partition: instances at or
-  /// above tier.approx_min_candidates (or past the deadline prediction)
-  /// route to the partitioned approximation tier instead of the exact
-  /// solver. Items without a partition always solve exactly.
-  TierPolicy tier;
-  /// Approximation-tier configuration for routed items. `approx.pool`
-  /// is honored as-is (subsolves of one item then fan out onto it; safe
-  /// even from batch workers because TaskGroup waits help).
-  ApproxOptions approx;
-  /// When > 0, items WITHOUT a partition still participate in tier
-  /// selection: an item routed to the approximation tier gets a
-  /// deterministic BFS partition of this many groups computed on the
-  /// fly (core::partition_bfs). 0 = partition-less items stay exact.
-  std::size_t approx_groups = 0;
 };
 
 /// One unit of a heterogeneous batch: a problem plus optional per-item
@@ -75,11 +59,6 @@ struct BatchItem {
   /// Per-item solver options (e.g. a deadline hook); null = the batch
   /// default. Must not dangle while the batch runs.
   const opt::SolverOptions* solver = nullptr;
-  /// Candidate-space partition enabling the approximation tier for this
-  /// item (see BatchOptions::tier). Null = always exact.
-  const Partition* partition = nullptr;
-  /// Per-item deadline fed into tier selection; 0 = the batch policy's.
-  double deadline_ms = 0.0;
 };
 
 /// Fans placement problems across a thread pool.
@@ -111,9 +90,9 @@ class BatchSolver {
 
   const BatchOptions& options() const noexcept { return options_; }
 
-  /// Total problems actually solved (exact or approx tier) across every
-  /// batch this solver ran. The serve cache's acceptance test hinges on
-  /// this: an exact cache hit must answer without moving this counter.
+  /// Total problems actually solved across every batch this solver ran.
+  /// The serve cache's acceptance test hinges on this: an exact cache
+  /// hit must answer without moving this counter.
   std::uint64_t solves() const noexcept {
     return solves_.load(std::memory_order_relaxed);
   }

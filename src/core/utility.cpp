@@ -54,32 +54,6 @@ const BatchKernel kSreKernel{
             nullptr,
 #endif
         },
-    .fused_fm =
-        {
-#ifdef NETMON_HAVE_AVX2
-            kernels::sre_fused_avx2_fm,
-#else
-            nullptr,
-#endif
-#ifdef NETMON_HAVE_AVX512
-            kernels::sre_fused_avx512_fm,
-#else
-            nullptr,
-#endif
-        },
-    .deriv2_fm =
-        {
-#ifdef NETMON_HAVE_AVX2
-            kernels::sre_deriv2_avx2_fm,
-#else
-            nullptr,
-#endif
-#ifdef NETMON_HAVE_AVX512
-            kernels::sre_deriv2_avx512_fm,
-#else
-            nullptr,
-#endif
-        },
     .pivot_param = 1,  // x0 splits the quadratic / rational regimes
 };
 

@@ -21,12 +21,6 @@
 // blend would have discarded the skipped leg), it only saves the vdivpd;
 // the line-search restriction partitions its terms by regime precisely
 // so these uniform fast paths hit on nearly every vector.
-//
-// The _fm variants are the fast-math leg: the IEEE division is replaced
-// by _mm_rcp_ps widened to double plus three Newton–Raphson refinements
-// (12 → 24 → 48 → ~53 bits). NOT bit-exact — gated on relative error
-// (≤ ~1e-12) by the perf gate's fast-math leg, and dispatched only when
-// opt::simd_fastmath_enabled() is set.
 #ifdef NETMON_HAVE_AVX2
 
 #include <immintrin.h>
@@ -37,28 +31,9 @@ namespace netmon::core::kernels {
 
 namespace {
 
-/// inv = 1/x, exact (vdivpd).
-inline __m256d recip_exact(__m256d x) {
-  return _mm256_div_pd(_mm256_set1_pd(1.0), x);
-}
-
-/// inv ~= 1/x via float rcp + 3 Newton steps. Lanes where the result is
-/// discarded by the pivot blend may produce NaN (x == 0: the estimate is
-/// inf and the refinement folds 0 * inf); the exact path produces inf on
-/// those lanes — both are discarded, never selected.
-inline __m256d recip_newton(__m256d x) {
-  __m256d r = _mm256_cvtps_pd(_mm_rcp_ps(_mm256_cvtpd_ps(x)));
-  const __m256d one = _mm256_set1_pd(1.0);
-  for (int it = 0; it < 3; ++it) {
-    const __m256d e = _mm256_fnmadd_pd(x, r, one);  // 1 - x*r
-    r = _mm256_fmadd_pd(r, e, r);                   // r + r*e
-  }
-  return r;
-}
-
-/// Shared kernel body: Recip selects the exact or fast-math reciprocal,
-/// kWantValue drops the value column for the deriv2 (line-search) form.
-template <__m256d (*Recip)(__m256d), bool kWantValue>
+/// Shared kernel body: kWantValue drops the value column for the deriv2
+/// (line-search) form.
+template <bool kWantValue>
 inline void sre_kernel(const double* soa, std::size_t stride,
                        const double* __restrict x, double* __restrict v,
                        double* __restrict m1, double* __restrict m2,
@@ -92,7 +67,7 @@ inline void sre_kernel(const double* soa, std::size_t stride,
       continue;
     }
     const __m256d c = _mm256_loadu_pd(cp + i);
-    const __m256d inv = Recip(xi);
+    const __m256d inv = _mm256_div_pd(one, xi);  // exact (vdivpd)
     const __m256d rat_m1 = _mm256_mul_pd(_mm256_mul_pd(c, inv), inv);
     const __m256d rat_m2 = _mm256_mul_pd(neg_two, _mm256_mul_pd(rat_m1, inv));
     if (mm == 0) {
@@ -133,24 +108,12 @@ inline void sre_kernel(const double* soa, std::size_t stride,
 
 void sre_fused_avx2(const double* soa, std::size_t stride, const double* x,
                     double* v, double* m1, double* m2, std::size_t n) {
-  sre_kernel<recip_exact, true>(soa, stride, x, v, m1, m2, n);
+  sre_kernel<true>(soa, stride, x, v, m1, m2, n);
 }
 
 void sre_deriv2_avx2(const double* soa, std::size_t stride, const double* x,
                      double* m1, double* m2, std::size_t n) {
-  sre_kernel<recip_exact, false>(soa, stride, x, nullptr, m1, m2, n);
-}
-
-void sre_fused_avx2_fm(const double* soa, std::size_t stride,
-                       const double* x, double* v, double* m1, double* m2,
-                       std::size_t n) {
-  sre_kernel<recip_newton, true>(soa, stride, x, v, m1, m2, n);
-}
-
-void sre_deriv2_avx2_fm(const double* soa, std::size_t stride,
-                        const double* x, double* m1, double* m2,
-                        std::size_t n) {
-  sre_kernel<recip_newton, false>(soa, stride, x, nullptr, m1, m2, n);
+  sre_kernel<false>(soa, stride, x, nullptr, m1, m2, n);
 }
 
 void fill_affine_avx2(double* dst, const double* x0, const double* rd,

@@ -3,16 +3,13 @@
 // Compiled with -O3 -mavx512f -mavx512dq -ffp-contract=off (see
 // src/CMakeLists.txt); only called after opt::simd_max_level() has
 // confirmed AVX-512F+DQ via CPUID. Same frozen-sequence bit-exactness
-// contract as core/utility_avx2.cpp, with three AVX-512 twists:
+// contract as core/utility_avx2.cpp, with two AVX-512 twists:
 //
 //  - regime selection uses __mmask8 compares (_mm512_cmp_pd_mask) and
 //    _mm512_mask_blend_pd instead of sign-bit blendv;
 //  - remainders run through the SAME vector body under a tail mask
 //    (_mm512_maskz_loadu_pd / _mm512_mask_storeu_pd) — masked-off lanes
-//    load 0.0, whose worst case is an inf in the discarded rational leg;
-//  - the fast-math reciprocal starts from _mm512_rcp14_pd (14 bits), so
-//    two Newton–Raphson steps reach full double precision instead of the
-//    three the 12-bit float estimate needs on AVX2.
+//    load 0.0, whose worst case is an inf in the discarded rational leg.
 #ifdef NETMON_HAVE_AVX512
 
 #include <immintrin.h>
@@ -23,26 +20,9 @@ namespace netmon::core::kernels {
 
 namespace {
 
-/// inv = 1/x, exact (vdivpd).
-inline __m512d recip_exact(__m512d x) {
-  return _mm512_div_pd(_mm512_set1_pd(1.0), x);
-}
-
-/// inv ~= 1/x via vrcp14pd + 2 Newton steps (14 -> 28 -> ~53 bits).
-/// NOT bit-exact; gated on relative error by the perf gate.
-inline __m512d recip_newton(__m512d x) {
-  __m512d r = _mm512_rcp14_pd(x);
-  const __m512d one = _mm512_set1_pd(1.0);
-  for (int it = 0; it < 2; ++it) {
-    const __m512d e = _mm512_fnmadd_pd(x, r, one);  // 1 - x*r
-    r = _mm512_fmadd_pd(r, e, r);                   // r + r*e
-  }
-  return r;
-}
-
 /// One 8-lane step of the frozen SreOps sequence under lane mask `active`
 /// (0xFF for full vectors, the tail mask for the remainder).
-template <__m512d (*Recip)(__m512d), bool kWantValue>
+template <bool kWantValue>
 inline void sre_step(const double* cp, const double* x0p, const double* a1p,
                      const double* a2p, const double* x, double* v,
                      double* m1, double* m2, std::size_t i, __mmask8 active,
@@ -71,7 +51,7 @@ inline void sre_step(const double* cp, const double* x0p, const double* a1p,
     return;
   }
   const __m512d c = _mm512_maskz_loadu_pd(active, cp + i);
-  const __m512d inv = Recip(xi);
+  const __m512d inv = _mm512_div_pd(one, xi);  // exact (vdivpd)
   const __m512d rat_m1 = _mm512_mul_pd(_mm512_mul_pd(c, inv), inv);
   const __m512d rat_m2 = _mm512_mul_pd(neg_two, _mm512_mul_pd(rat_m1, inv));
   if (static_cast<__mmask8>(lt & active) == 0) {
@@ -97,7 +77,7 @@ inline void sre_step(const double* cp, const double* x0p, const double* a1p,
                         _mm512_mask_blend_pd(lt, rat_m2, two_a2));
 }
 
-template <__m512d (*Recip)(__m512d), bool kWantValue>
+template <bool kWantValue>
 inline void sre_kernel(const double* soa, std::size_t stride,
                        const double* __restrict x, double* __restrict v,
                        double* __restrict m1, double* __restrict m2,
@@ -109,14 +89,12 @@ inline void sre_kernel(const double* soa, std::size_t stride,
   __mmask8 dom_bad = 0;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    sre_step<Recip, kWantValue>(cp, x0p, a1p, a2p, x, v, m1, m2, i, 0xFF,
-                                dom_bad);
+    sre_step<kWantValue>(cp, x0p, a1p, a2p, x, v, m1, m2, i, 0xFF, dom_bad);
   }
   if (i < n) {
     const __mmask8 tail =
         static_cast<__mmask8>((1u << (n - i)) - 1u);
-    sre_step<Recip, kWantValue>(cp, x0p, a1p, a2p, x, v, m1, m2, i, tail,
-                                dom_bad);
+    sre_step<kWantValue>(cp, x0p, a1p, a2p, x, v, m1, m2, i, tail, dom_bad);
   }
   NETMON_REQUIRE(dom_bad == 0, "utility argument out of domain");
 }
@@ -125,25 +103,13 @@ inline void sre_kernel(const double* soa, std::size_t stride,
 
 void sre_fused_avx512(const double* soa, std::size_t stride, const double* x,
                       double* v, double* m1, double* m2, std::size_t n) {
-  sre_kernel<recip_exact, true>(soa, stride, x, v, m1, m2, n);
+  sre_kernel<true>(soa, stride, x, v, m1, m2, n);
 }
 
 void sre_deriv2_avx512(const double* soa, std::size_t stride,
                        const double* x, double* m1, double* m2,
                        std::size_t n) {
-  sre_kernel<recip_exact, false>(soa, stride, x, nullptr, m1, m2, n);
-}
-
-void sre_fused_avx512_fm(const double* soa, std::size_t stride,
-                         const double* x, double* v, double* m1, double* m2,
-                         std::size_t n) {
-  sre_kernel<recip_newton, true>(soa, stride, x, v, m1, m2, n);
-}
-
-void sre_deriv2_avx512_fm(const double* soa, std::size_t stride,
-                          const double* x, double* m1, double* m2,
-                          std::size_t n) {
-  sre_kernel<recip_newton, false>(soa, stride, x, nullptr, m1, m2, n);
+  sre_kernel<false>(soa, stride, x, nullptr, m1, m2, n);
 }
 
 void fill_affine_avx512(double* dst, const double* x0, const double* rd,

@@ -26,9 +26,7 @@
 // The SRE family is restructured around ONE reciprocal: inv = 1/x is the
 // only division, and value/deriv/second of the rational leg are derived
 // from it multiplicatively. That single division is what the AVX kernels
-// amortize (one vdivpd per 4/8 lanes — or a rcp14+Newton refinement on
-// the fast-math leg, which is NOT bit-exact and gated on relative error
-// instead; see DESIGN.md §8).
+// amortize (one vdivpd per 4/8 lanes).
 #pragma once
 
 #include <algorithm>
@@ -249,19 +247,11 @@ void fill_affine_scalar(double* __restrict dst, const double* __restrict x0,
 
 #ifdef NETMON_HAVE_AVX2
 // Explicit AVX2+FMA kernels (core/utility_avx2.cpp, compiled with
-// -mavx2 -mfma). Bit-exact variants replay the Ops sequence with vdivpd;
-// the _fm (fast-math) variants replace the division with a reciprocal
-// estimate + Newton refinement — ≤ ~1e-12 relative error, NOT bit-exact.
+// -mavx2 -mfma). They replay the Ops sequence lane for lane with vdivpd.
 void sre_fused_avx2(const double* soa, std::size_t stride, const double* x,
                     double* v, double* m1, double* m2, std::size_t n);
 void sre_deriv2_avx2(const double* soa, std::size_t stride, const double* x,
                      double* m1, double* m2, std::size_t n);
-void sre_fused_avx2_fm(const double* soa, std::size_t stride,
-                       const double* x, double* v, double* m1, double* m2,
-                       std::size_t n);
-void sre_deriv2_avx2_fm(const double* soa, std::size_t stride,
-                        const double* x, double* m1, double* m2,
-                        std::size_t n);
 void fill_affine_avx2(double* dst, const double* x0, const double* rd,
                       double t, std::size_t n);
 #endif
@@ -273,12 +263,6 @@ void sre_fused_avx512(const double* soa, std::size_t stride, const double* x,
 void sre_deriv2_avx512(const double* soa, std::size_t stride,
                        const double* x, double* m1, double* m2,
                        std::size_t n);
-void sre_fused_avx512_fm(const double* soa, std::size_t stride,
-                         const double* x, double* v, double* m1, double* m2,
-                         std::size_t n);
-void sre_deriv2_avx512_fm(const double* soa, std::size_t stride,
-                          const double* x, double* m1, double* m2,
-                          std::size_t n);
 void fill_affine_avx512(double* dst, const double* x0, const double* rd,
                         double t, std::size_t n);
 #endif

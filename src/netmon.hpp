@@ -18,7 +18,6 @@
 #include "core/approx.hpp"       // IWYU pragma: export
 #include "core/batch_solver.hpp" // IWYU pragma: export
 #include "core/config_gen.hpp"   // IWYU pragma: export
-#include "core/controller.hpp"   // IWYU pragma: export
 #include "core/exact_rate.hpp"   // IWYU pragma: export
 #include "core/maximin.hpp"      // IWYU pragma: export
 #include "core/problem.hpp"      // IWYU pragma: export

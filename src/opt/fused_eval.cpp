@@ -132,8 +132,7 @@ void SeparableRestriction::reset(const SeparableConcaveObjective& f,
 }
 
 void SeparableRestriction::eval_range(std::size_t begin, std::size_t end,
-                                      double t, SimdLevel level,
-                                      bool fastmath) {
+                                      double t, SimdLevel level) {
   const std::size_t m = x0c_.size();
   double* __restrict xt = xt_.data();
   select_fill(level)(xt + begin, x0c_.data() + begin, rdc_.data() + begin, t,
@@ -147,7 +146,7 @@ void SeparableRestriction::eval_range(std::size_t begin, std::size_t end,
     const std::size_t hi = std::min(it->end, end);
     if (it->kernel != nullptr && it->kernel->deriv2 != nullptr) {
       const Concave1d::BatchKernel::Deriv2Fn fn =
-          it->kernel->select_deriv2(level, fastmath);
+          it->kernel->select_deriv2(level);
       fn(soa_.data() + lo, m, xt + lo, m1_.data() + lo, m2_.data() + lo,
          hi - lo);
       continue;
@@ -164,7 +163,6 @@ Phi::Derivs SeparableRestriction::derivs(double t) {
   NETMON_REQUIRE(f_ != nullptr, "restriction not reset");
   const std::size_t m = x0c_.size();
   const SimdLevel level = simd_dispatch_level();
-  const bool fastmath = simd_fastmath_enabled();
   if (pool_ != nullptr && m >= kParallelMinSlots) {
     // Elementwise probe work sharded; the sums below stay serial, so the
     // Derivs are bit-identical to the serial path.
@@ -172,13 +170,13 @@ Phi::Derivs SeparableRestriction::derivs(double t) {
         m, runtime::ChunkOptions{.grain = 512}, pool_->size());
     runtime::TaskGroup group(*pool_);
     for (const auto& [b, e] : chunks) {
-      group.run([this, b = b, e = e, t, level, fastmath] {
-        eval_range(b, e, t, level, fastmath);
+      group.run([this, b = b, e = e, t, level] {
+        eval_range(b, e, t, level);
       });
     }
     group.wait();
   } else {
-    eval_range(0, m, t, level, fastmath);
+    eval_range(0, m, t, level);
   }
 
   Derivs out;

@@ -81,10 +81,10 @@ class SeparableRestriction final : public Phi {
   };
 
   /// Fills xt_/m1_/m2_ for compact slots [begin, end) at probe point t.
-  /// The dispatch level and fast-math flag are hoisted by the caller so
-  /// every shard of one probe dispatches identically.
+  /// The dispatch level is hoisted by the caller so every shard of one
+  /// probe dispatches identically.
   void eval_range(std::size_t begin, std::size_t end, double t,
-                  SimdLevel level, bool fastmath);
+                  SimdLevel level);
 
   const SeparableConcaveObjective* f_ = nullptr;
   runtime::ThreadPool* pool_ = nullptr;  // borrowed; null = serial probes

@@ -24,19 +24,9 @@ SimdLevel level_from_env() {
   return env == nullptr ? simd_max_level() : clamp_level(parse_simd_level(env));
 }
 
-bool fastmath_from_env() {
-  const char* env = std::getenv("NETMON_SIMD_FASTMATH");
-  return env != nullptr && parse_simd_fastmath(env);
-}
-
 std::atomic<int>& simd_level_flag() {
   static std::atomic<int> level{static_cast<int>(level_from_env())};
   return level;
-}
-
-std::atomic<bool>& fastmath_flag() {
-  static std::atomic<bool> enabled{fastmath_from_env()};
-  return enabled;
 }
 
 }  // namespace
@@ -75,14 +65,6 @@ SimdLevel parse_simd_level(std::string_view value) {
   return SimdLevel::kScalar;  // unreachable
 }
 
-bool parse_simd_fastmath(std::string_view value) {
-  if (value == "0" || value == "off" || value.empty()) return false;
-  if (value == "1" || value == "on") return true;
-  NETMON_REQUIRE(false, "NETMON_SIMD_FASTMATH: unknown value '" +
-                            std::string(value) + "' (expected 0|off|1|on)");
-  return false;  // unreachable
-}
-
 const char* simd_level_name(SimdLevel level) {
   switch (level) {
     case SimdLevel::kAvx512:
@@ -102,22 +84,6 @@ SimdLevel simd_dispatch_level() {
 void set_simd_dispatch_level(SimdLevel level) {
   simd_level_flag().store(static_cast<int>(clamp_level(level)),
                           std::memory_order_relaxed);
-}
-
-bool simd_fastmath_enabled() {
-  return fastmath_flag().load(std::memory_order_relaxed);
-}
-
-void set_simd_fastmath(bool enabled) {
-  fastmath_flag().store(enabled, std::memory_order_relaxed);
-}
-
-bool simd_dispatch_enabled() {
-  return simd_dispatch_level() != SimdLevel::kScalar;
-}
-
-void set_simd_dispatch(bool enabled) {
-  set_simd_dispatch_level(enabled ? simd_max_level() : SimdLevel::kScalar);
 }
 
 SeparableConcaveObjective::SeparableConcaveObjective(
@@ -209,14 +175,13 @@ void SeparableConcaveObjective::fused_terms(std::span<const double> x,
                                             std::span<double> v,
                                             std::span<double> m1,
                                             std::span<double> m2) const {
-  fused_terms_range(0, term_count(), x, v, m1, m2, simd_dispatch_level(),
-                    simd_fastmath_enabled());
+  fused_terms_range(0, term_count(), x, v, m1, m2, simd_dispatch_level());
 }
 
 void SeparableConcaveObjective::fused_terms_range(
     std::size_t begin, std::size_t end, std::span<const double> x,
     std::span<double> v, std::span<double> m1, std::span<double> m2,
-    SimdLevel level, bool fastmath) const {
+    SimdLevel level) const {
   const std::size_t stride = term_count();
   // First run overlapping [begin, end): runs_ partitions [0, n) in order.
   auto it = std::partition_point(
@@ -231,7 +196,7 @@ void SeparableConcaveObjective::fused_terms_range(
       // every level is bit-identical per element no matter where the
       // range starts.
       const Concave1d::BatchKernel::FusedFn fn =
-          it->kernel->select_fused(level, fastmath);
+          it->kernel->select_fused(level);
       fn(soa_base(lo), stride, x.data() + lo, v.data() + lo, m1.data() + lo,
          m2.data() + lo, n);
       continue;
@@ -250,17 +215,16 @@ void SeparableConcaveObjective::fused_terms(std::span<const double> x,
                                             std::span<double> m2,
                                             runtime::ThreadPool& pool) const {
   const SimdLevel level = simd_dispatch_level();
-  const bool fastmath = simd_fastmath_enabled();
   const auto chunks = runtime::make_chunks_for_width(
       term_count(), runtime::ChunkOptions{.grain = 512}, pool.size());
   if (chunks.size() <= 1) {
-    fused_terms_range(0, term_count(), x, v, m1, m2, level, fastmath);
+    fused_terms_range(0, term_count(), x, v, m1, m2, level);
     return;
   }
   runtime::TaskGroup group(pool);
   for (const auto& [b, e] : chunks) {
-    group.run([this, b = b, e = e, x, v, m1, m2, level, fastmath] {
-      fused_terms_range(b, e, x, v, m1, m2, level, fastmath);
+    group.run([this, b = b, e = e, x, v, m1, m2, level] {
+      fused_terms_range(b, e, x, v, m1, m2, level);
     });
   }
   group.wait();

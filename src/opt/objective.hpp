@@ -15,7 +15,7 @@
 // plain-function call over contiguous arrays — branch-free and
 // auto-vectorizable. Each kernel family ships a scalar reference
 // variant and (when compiled with NETMON_SIMD) a vectorized variant
-// that is bit-identical by construction; opt::simd_dispatch_enabled()
+// that is bit-identical by construction; opt::simd_dispatch_level()
 // selects between them at runtime.
 #pragma once
 
@@ -63,30 +63,13 @@ SimdLevel simd_dispatch_level();
 /// to simd_max_level().
 void set_simd_dispatch_level(SimdLevel level);
 
-/// Whether the fast-math kernel variants (reciprocal + Newton instead of
-/// IEEE division) are dispatched. Default off; NETMON_SIMD_FASTMATH=1
-/// opts in. Fast-math results are NOT bit-exact — they carry ≤ ~1e-12
-/// relative error and are gated on that bound, not on bit identity.
-bool simd_fastmath_enabled();
-void set_simd_fastmath(bool enabled);
-
 /// Parses a NETMON_SIMD value ("auto"/"on"/"1" resolve to
 /// simd_max_level()). Throws netmon::Error on unknown values (exposed
 /// for tests; the env init path uses it).
 SimdLevel parse_simd_level(std::string_view value);
 
-/// Parses a NETMON_SIMD_FASTMATH value ("0"/"off"/"1"/"on"); throws
-/// netmon::Error on anything else.
-bool parse_simd_fastmath(std::string_view value);
-
 /// Lower-case level name ("scalar"/"avx2"/"avx512") for reports.
 const char* simd_level_name(SimdLevel level);
-
-/// Compatibility shims for the historical on/off knob: enabled means
-/// "any vector level", and enabling resolves to the highest supported
-/// level.
-bool simd_dispatch_enabled();
-void set_simd_dispatch(bool enabled);
 
 /// A twice continuously differentiable concave objective to MAXIMIZE.
 class Objective {
@@ -176,10 +159,6 @@ class Concave1d {
     /// bit-identical to the scalar variants, element for element.
     std::array<FusedFn, 2> fused_lvl{};
     std::array<Deriv2Fn, 2> deriv2_lvl{};
-    /// Fast-math variants (reciprocal + Newton): ≤ ~1e-12 relative
-    /// error, opt-in via simd_fastmath_enabled(). Same level indexing.
-    std::array<FusedFn, 2> fused_fm{};
-    std::array<Deriv2Fn, 2> deriv2_fm{};
     /// Index (into the SoA parameter pack) of the pivot that splits this
     /// family's piecewise regimes, or kNoPivot for single-regime
     /// families. The line-search restriction partitions its compacted
@@ -189,20 +168,14 @@ class Concave1d {
 
     /// Variant selection with per-level fallback: the requested level's
     /// slot, else each lower vector level, else the scalar reference.
-    /// Fast-math slots are consulted first (same fallback walk) when
-    /// `fastmath` is set.
-    FusedFn select_fused(SimdLevel level, bool fastmath) const {
-      for (int l = static_cast<int>(level); l >= 1; --l) {
-        if (fastmath && fused_fm[l - 1] != nullptr) return fused_fm[l - 1];
+    FusedFn select_fused(SimdLevel level) const {
+      for (int l = static_cast<int>(level); l >= 1; --l)
         if (fused_lvl[l - 1] != nullptr) return fused_lvl[l - 1];
-      }
       return fused;
     }
-    Deriv2Fn select_deriv2(SimdLevel level, bool fastmath) const {
-      for (int l = static_cast<int>(level); l >= 1; --l) {
-        if (fastmath && deriv2_fm[l - 1] != nullptr) return deriv2_fm[l - 1];
+    Deriv2Fn select_deriv2(SimdLevel level) const {
+      for (int l = static_cast<int>(level); l >= 1; --l)
         if (deriv2_lvl[l - 1] != nullptr) return deriv2_lvl[l - 1];
-      }
       return deriv2;
     }
   };
@@ -395,12 +368,12 @@ class SeparableConcaveObjective final : public Objective {
   void map_terms(Map mode, std::span<const double> x,
                  std::span<double> out) const;
   /// fused_terms restricted to terms [begin, end): the unit of work the
-  /// parallel overload shards. The dispatch level and fast-math flag are
-  /// hoisted so every shard of one evaluation dispatches identically.
+  /// parallel overload shards. The dispatch level is hoisted so every
+  /// shard of one evaluation dispatches identically.
   void fused_terms_range(std::size_t begin, std::size_t end,
                          std::span<const double> x, std::span<double> v,
                          std::span<double> m1, std::span<double> m2,
-                         SimdLevel level, bool fastmath) const;
+                         SimdLevel level) const;
   /// SoA table base pointer for the run starting at term `begin`:
   /// parameter j of term (begin + i) is soa_base(begin)[j * n + i] with
   /// n = term_count() the column stride.

@@ -123,6 +123,35 @@ TEST(ControlLoop, TopologyEventForcesReconfiguration) {
   EXPECT_TRUE(recovered.reconfigured);
 }
 
+TEST(ControlLoop, BudgetViolationForcesReconfiguration) {
+  const core::GeantScenario s = core::make_geant_scenario();
+  ControlLoop loop(s.net.graph, s.task);
+  loop.step(observe(s, s.demands));
+
+  // The background doubles: the incumbent rates now sample roughly twice
+  // the agreed budget. The resource contract is broken even though the
+  // over-spend buys utility, so the loop must reconfigure.
+  const core::GeantScenario shifted =
+      core::make_geant_scenario({.background_pkt_per_sec = 2.8e6});
+  const StepResult r = loop.step(observe(shifted, shifted.demands));
+  EXPECT_EQ(r.reason, ResolveReason::kBudget);
+  EXPECT_TRUE(r.forced);
+  EXPECT_TRUE(r.reconfigured);
+  EXPECT_NEAR(r.budget_used / 1e5, 1.0, 1e-6);
+}
+
+TEST(ControlLoop, SmallLoadNoiseIsIgnored) {
+  const core::GeantScenario s = core::make_geant_scenario();
+  ControlLoop loop(s.net.graph, s.task);
+  const BinObservation clean = observe(s, s.demands);
+  loop.step(clean);
+  BinObservation noisy = clean;
+  for (double& load : noisy.loads) load *= 1.001;  // 0.1% measurement noise
+  const StepResult r = loop.step(noisy);
+  EXPECT_FALSE(r.reconfigured);
+  EXPECT_EQ(loop.reconfigurations(), 1);
+}
+
 TEST(ControlLoop, ExpiredSolveFallsBackToIncumbent) {
   const core::GeantScenario s = core::make_geant_scenario();
   obs::ManualClock clock;

@@ -152,16 +152,5 @@ TEST(ApproxTier, PartitionCoversCandidatesExactlyOnce) {
   }
 }
 
-TEST(ApproxTier, ChooseTierRoutesBySizeAndDeadline) {
-  TierPolicy policy;  // approx_min_candidates = 4096
-  EXPECT_EQ(choose_tier(72, policy), SolveTier::kExact);
-  EXPECT_EQ(choose_tier(4096, policy), SolveTier::kApprox);
-  EXPECT_EQ(choose_tier(200000, policy), SolveTier::kApprox);
-
-  policy.deadline_ms = 10.0;  // 10 ms at 50 candidates/ms => 500 cap
-  EXPECT_EQ(choose_tier(400, policy), SolveTier::kExact);
-  EXPECT_EQ(choose_tier(1000, policy), SolveTier::kApprox);
-}
-
 }  // namespace
 }  // namespace netmon::core

@@ -1,14 +1,12 @@
 // End-to-end smoke of the scale pipeline at test-sized dimensions: a
 // hierarchical instance (a few thousand links), gravity fan-out task,
-// pod partition, approximate solve with intra-solve parallelism — and a
-// certified gap within the tier's 1% target. The 100k+-link instance
-// runs the same path in bench/scaling_perf.cpp.
+// pod partition, a direct core::solve_approx call with intra-solve
+// parallelism — and a certified gap within the tier's 1% target.
+// bench/scaling_perf.cpp calls the tier the same way on the 100k+-link
+// instance.
 #include <gtest/gtest.h>
 
-#include <span>
-
 #include "core/approx.hpp"
-#include "core/batch_solver.hpp"
 #include "core/partition.hpp"
 #include "core/scale_scenario.hpp"
 #include "core/solver.hpp"
@@ -61,39 +59,6 @@ TEST(ScaleSmoke, ApproxTierCertifiesWithinOnePercent) {
   // Feasibility of the stitched + polished placement.
   EXPECT_NEAR(result.solution.budget_used, problem.theta(),
               1e-6 * problem.theta());
-}
-
-TEST(ScaleSmoke, BatchSolverRoutesLargeInstancesToTheApproxTier) {
-  const ScaleScenario scenario = make_scale_scenario(smoke_options());
-  ProblemOptions po;
-  po.theta = 0.0;
-  const PlacementProblem problem = make_problem(scenario, po);
-  const Partition partition = partition_by_region(problem, scenario.net);
-
-  BatchOptions batch;
-  batch.threads = 2;
-  batch.tier.approx_min_candidates = 64;  // force routing at test scale
-  const BatchSolver solver(batch);
-
-  BatchItem item;
-  item.problem = &problem;
-  item.partition = &partition;
-  const auto solutions =
-      solver.solve_items(std::span<const BatchItem>(&item, 1));
-  ASSERT_EQ(solutions.size(), 1u);
-  EXPECT_EQ(solutions[0].tier, SolveTier::kApprox);
-  EXPECT_GT(solutions[0].certified_upper_bound,
-            solutions[0].total_utility - 1e-9);
-
-  // Below the threshold the same item solves exactly.
-  BatchOptions exact_batch;
-  exact_batch.threads = 2;
-  exact_batch.tier.approx_min_candidates = 1u << 30;
-  const BatchSolver exact_solver(exact_batch);
-  const auto exact = exact_solver.solve_items(
-      std::span<const BatchItem>(&item, 1));
-  EXPECT_EQ(exact[0].tier, SolveTier::kExact);
-  EXPECT_EQ(exact[0].certified_gap, 0.0);
 }
 
 }  // namespace

@@ -19,15 +19,15 @@
 namespace netmon::opt {
 namespace {
 
-// Restores the SIMD dispatch flag on scope exit so tests that sweep it
+// Restores the SIMD dispatch level on scope exit so tests that sweep it
 // cannot leak state into each other.
 class DispatchGuard {
  public:
-  DispatchGuard() : saved_(simd_dispatch_enabled()) {}
-  ~DispatchGuard() { set_simd_dispatch(saved_); }
+  DispatchGuard() : saved_(simd_dispatch_level()) {}
+  ~DispatchGuard() { set_simd_dispatch_level(saved_); }
 
  private:
-  bool saved_;
+  SimdLevel saved_;
 };
 
 // A random separable objective: `n` variables, `terms` rows with 1-5
@@ -93,8 +93,8 @@ void expect_fused_matches_virtuals(const SeparableConcaveObjective& f,
 
 TEST(FusedKernels, BatchedTermsMatchScalarVirtualsExactly) {
   DispatchGuard guard;
-  for (const bool simd : {false, true}) {
-    set_simd_dispatch(simd);
+  for (const SimdLevel level : {SimdLevel::kScalar, simd_max_level()}) {
+    set_simd_dispatch_level(level);
     const RandomObjective uniform(7, 40, 300, 0);
     expect_fused_matches_virtuals(*uniform.f, uniform.p);
     const RandomObjective mixed(11, 25, 200, 1);
@@ -121,10 +121,10 @@ TEST(FusedKernels, PivotRegimesBothSidesBitIdentical) {
                                     std::move(utilities));
   const std::size_t m = f.term_count();
   std::vector<double> v_s(m), m1_s(m), m2_s(m), v_v(m), m1_v(m), m2_v(m);
-  set_simd_dispatch(false);
+  set_simd_dispatch_level(SimdLevel::kScalar);
   f.fused_terms(p, v_s, m1_s, m2_s);
   expect_fused_matches_virtuals(f, p);
-  set_simd_dispatch(true);
+  set_simd_dispatch_level(simd_max_level());
   f.fused_terms(p, v_v, m1_v, m2_v);
   for (std::size_t k = 0; k < m; ++k) {
     EXPECT_EQ(v_s[k], v_v[k]) << "value @" << k;
@@ -150,10 +150,10 @@ TEST(FusedKernels, ScalarVsSimdSweepAcrossTopologies) {
                         Case{r2.f.get(), r2.p}}) {
     linalg::EvalWorkspace ws;
     std::vector<double> g_s(c.f->dimension()), g_v(c.f->dimension());
-    set_simd_dispatch(false);
+    set_simd_dispatch_level(SimdLevel::kScalar);
     const auto fe_s = c.f->fused_eval(c.p, g_s, ws);
     const double v_s = fe_s.value;
-    set_simd_dispatch(true);
+    set_simd_dispatch_level(simd_max_level());
     const auto fe_v = c.f->fused_eval(c.p, g_v, ws);
     EXPECT_EQ(v_s, fe_v.value);
     for (std::size_t j = 0; j < g_s.size(); ++j)
@@ -311,10 +311,10 @@ TEST(Solver, FusedAndGenericPathsAgree) {
 
   // The fused solve itself is dispatch-invariant: scalar and SIMD runs
   // take identical trajectories because the kernels are bit-identical.
-  set_simd_dispatch(false);
+  set_simd_dispatch_level(SimdLevel::kScalar);
   const SolveResult scalar_run =
       maximize(problem.objective(), problem.constraints(), fused);
-  set_simd_dispatch(true);
+  set_simd_dispatch_level(simd_max_level());
   const SolveResult simd_run =
       maximize(problem.objective(), problem.constraints(), fused);
   EXPECT_EQ(scalar_run.value, simd_run.value);

@@ -1,8 +1,7 @@
 // Leveled SIMD dispatch: NETMON_SIMD parsing, CPUID clamping and forced
 // fallback, bit-identity of every available dispatch level against the
 // scalar reference (fused terms, line-search restriction probes, and
-// full solves on GEANT and Abilene), and the fast-math leg's relative-
-// error contract.
+// full solves on GEANT and Abilene).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,20 +23,15 @@
 namespace netmon::opt {
 namespace {
 
-// Restores the dispatch level and the fast-math flag on scope exit so
-// tests that sweep them cannot leak state into each other.
+// Restores the dispatch level on scope exit so tests that sweep it
+// cannot leak state into each other.
 class LevelGuard {
  public:
-  LevelGuard()
-      : level_(simd_dispatch_level()), fastmath_(simd_fastmath_enabled()) {}
-  ~LevelGuard() {
-    set_simd_dispatch_level(level_);
-    set_simd_fastmath(fastmath_);
-  }
+  LevelGuard() : level_(simd_dispatch_level()) {}
+  ~LevelGuard() { set_simd_dispatch_level(level_); }
 
  private:
   SimdLevel level_;
-  bool fastmath_;
 };
 
 std::vector<SimdLevel> available_levels() {
@@ -139,14 +133,6 @@ TEST(SimdDispatch, ParseLevelRejectsUnknownValuesWithClearError) {
   }
 }
 
-TEST(SimdDispatch, ParseFastmathAcceptsOnOffAndRejectsJunk) {
-  EXPECT_FALSE(parse_simd_fastmath("0"));
-  EXPECT_FALSE(parse_simd_fastmath("off"));
-  EXPECT_TRUE(parse_simd_fastmath("1"));
-  EXPECT_TRUE(parse_simd_fastmath("on"));
-  EXPECT_THROW(parse_simd_fastmath("maybe"), netmon::Error);
-}
-
 TEST(SimdDispatch, LevelNamesRoundTrip) {
   EXPECT_STREQ(simd_level_name(SimdLevel::kScalar), "scalar");
   EXPECT_STREQ(simd_level_name(SimdLevel::kAvx2), "avx2");
@@ -167,14 +153,6 @@ TEST(SimdDispatch, SetLevelClampsToHardwareForcedFallback) {
     set_simd_dispatch_level(level);
     EXPECT_EQ(simd_dispatch_level(), level);
   }
-  // Compat shims: on = highest supported, off = scalar.
-  set_simd_dispatch(true);
-  EXPECT_EQ(simd_dispatch_level(), simd_max_level());
-  EXPECT_EQ(simd_dispatch_enabled(),
-            simd_max_level() != SimdLevel::kScalar);
-  set_simd_dispatch(false);
-  EXPECT_EQ(simd_dispatch_level(), SimdLevel::kScalar);
-  EXPECT_FALSE(simd_dispatch_enabled());
 }
 
 // Property test: for random term mixes with domain-edge inner products,
@@ -183,7 +161,6 @@ TEST(SimdDispatch, SetLevelClampsToHardwareForcedFallback) {
 // tails of every length (term counts are primes, not lane multiples).
 TEST(SimdDispatch, FusedTermsBitIdenticalAcrossLevels) {
   LevelGuard guard;
-  set_simd_fastmath(false);
   for (const std::uint64_t seed : {3u, 17u, 91u}) {
     for (const bool mixed : {false, true}) {
       const EdgeCaseObjective obj(seed, mixed ? 211 : 127, mixed);
@@ -218,7 +195,6 @@ TEST(SimdDispatch, FusedTermsBitIdenticalAcrossLevels) {
 // fma probe fill) are bit-identical across levels as well.
 TEST(SimdDispatch, RestrictionProbesBitIdenticalAcrossLevels) {
   LevelGuard guard;
-  set_simd_fastmath(false);
   const core::GeantScenario scenario = core::make_geant_scenario();
   const core::PlacementProblem problem = core::make_problem(scenario);
   const auto& f = problem.objective();
@@ -254,7 +230,6 @@ void expect_identical_solves_across_levels(
     const BoxBudgetConstraints& constraints) {
   SolverOptions options;
   options.use_fused = true;
-  set_simd_fastmath(false);
   set_simd_dispatch_level(SimdLevel::kScalar);
   const SolveResult ref = maximize(f, constraints, options);
   EXPECT_EQ(ref.status, SolveStatus::kOptimal);
@@ -302,44 +277,10 @@ TEST(SimdDispatch, SolveResultIdenticalAcrossLevelsOnAbilene) {
                                         problem.constraints());
 }
 
-// Fast-math leg: reciprocal + Newton is NOT bit-exact — its contract is
-// a relative-error bound against the exact scalar reference.
-TEST(SimdDispatch, FastMathStaysWithinRelativeErrorBound) {
-  LevelGuard guard;
-  if (simd_max_level() == SimdLevel::kScalar)
-    GTEST_SKIP() << "no vector level available";
-  const EdgeCaseObjective obj(7, 509, false);
-  const std::size_t m = obj.f->term_count();
-  std::vector<double> v_ref(m), m1_ref(m), m2_ref(m);
-  set_simd_fastmath(false);
-  set_simd_dispatch_level(SimdLevel::kScalar);
-  obj.f->fused_terms(obj.x, v_ref, m1_ref, m2_ref);
-
-  set_simd_fastmath(true);
-  for (int l = 1; l <= static_cast<int>(simd_max_level()); ++l) {
-    set_simd_dispatch_level(static_cast<SimdLevel>(l));
-    std::vector<double> v(m), m1(m), m2(m);
-    obj.f->fused_terms(obj.x, v, m1, m2);
-    constexpr double kRelTol = 1e-12;
-    for (std::size_t k = 0; k < m; ++k) {
-      EXPECT_NEAR(v[k], v_ref[k],
-                  kRelTol * std::max(1.0, std::abs(v_ref[k])))
-          << "level " << l << " value @" << k;
-      EXPECT_NEAR(m1[k], m1_ref[k],
-                  kRelTol * std::max(1.0, std::abs(m1_ref[k])))
-          << "level " << l << " deriv @" << k;
-      EXPECT_NEAR(m2[k], m2_ref[k],
-                  kRelTol * std::max(1.0, std::abs(m2_ref[k])))
-          << "level " << l << " second @" << k;
-    }
-  }
-}
-
 // The domain check is folded into the vector kernels' main loop; every
 // level must reject out-of-domain arguments like the scalar reference.
 TEST(SimdDispatch, DomainViolationsRejectedAtEveryLevel) {
   LevelGuard guard;
-  set_simd_fastmath(false);
   SeparableConcaveObjective::SparseRows rows;
   std::vector<std::shared_ptr<const Concave1d>> utilities;
   std::vector<double> x;
