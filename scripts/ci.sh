@@ -4,7 +4,8 @@
 # (the correctness gate for src/runtime/ and everything layered on it,
 # now including the TCP transport and the multi-tenant RCU registry /
 # solve cache), an AddressSanitizer build of the flat-CSR linalg kernels,
-# the zero-allocation solver hot path, and the wire codec + TCP frame
+# the zero-allocation solver hot path and its feasible-set projection,
+# and the wire codec + TCP frame
 # reassembly fuzz suites (the gate for src/linalg/ span/pointer
 # arithmetic, workspace reuse, and byte-level decode), and a UBSan
 # build of the fused batch
@@ -60,8 +61,8 @@ ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
 
 echo "== tier-2: ASan gate on linalg kernels + solver + wire decoding =="
 ASAN_TESTS="linalg_sparse_test opt_objective_test opt_gradient_projection_test \
-opt_zero_alloc_test core_solver_test estimate_flow_inversion_test \
-serve_wire_test serve_tcp_fuzz_test"
+opt_constraints_test opt_zero_alloc_test core_solver_test \
+estimate_flow_inversion_test serve_wire_test serve_tcp_fuzz_test"
 cmake -B "${PREFIX}-asan" -S . -DNETMON_SANITIZE=address
 # shellcheck disable=SC2086
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target ${ASAN_TESTS}
@@ -70,7 +71,8 @@ ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
 
 echo "== tier-2: UBSan gate on the fused batch kernels + solver =="
 UBSAN_TESTS="core_utility_test opt_fused_eval_test opt_objective_test \
-opt_gradient_projection_test core_solver_test opt_simd_dispatch_test"
+opt_gradient_projection_test opt_constraints_test core_solver_test \
+opt_simd_dispatch_test"
 cmake -B "${PREFIX}-ubsan" -S . -DNETMON_SANITIZE=undefined
 # shellcheck disable=SC2086
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target ${UBSAN_TESTS}

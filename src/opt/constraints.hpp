@@ -32,9 +32,16 @@ class BoxBudgetConstraints {
   /// "arbitrarily on the plane defined by the active constraint (5)").
   std::vector<double> initial_point() const;
 
-  /// Euclidean projection onto the feasible set (used by the reference
-  /// solver): p_j = clamp(y_j - lambda u_j, 0, alpha_j) with lambda found
-  /// by bisection so the budget holds.
+  /// Euclidean projection onto the feasible set into `out`, allocation-
+  /// free: out_j = clamp(y_j - lambda u_j, 0, alpha_j), with lambda the
+  /// root of the non-increasing piecewise-linear budget(lambda) = theta
+  /// found by safeguarded Newton started at `lambda_hint` (a nearby root
+  /// costs about two O(n) passes). Returns lambda. Every y_j must be
+  /// finite, and `out` must not overlap `y`.
+  double project_into(std::span<const double> y, std::span<double> out,
+                      double lambda_hint = 0.0) const;
+
+  /// project_into a fresh vector, started at lambda = 0.
   std::vector<double> project(std::span<const double> y) const;
 
  private:

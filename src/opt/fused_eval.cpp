@@ -61,9 +61,15 @@ void SeparableRestriction::reset(const SeparableConcaveObjective& f,
   // so the partition never affects results. The family pass count is
   // tiny (a handful of kernels x two phases) and all buffers are
   // grow-only, so repeated resets allocate nothing at steady state.
-  x0c_.clear();
-  rdc_.clear();
-  idx_.clear();
+  // The gather writes every visited term at the next slot and advances
+  // only past the kept ones: no data-dependent branch per term. The
+  // buffers stay term_count + 1 long (grow-only: a write lands one past
+  // the last kept slot); active_ marks the compact prefix.
+  if (x0c_.size() < n + 1) {
+    x0c_.resize(n + 1);
+    rdc_.resize(n + 1);
+    idx_.resize(n + 1);
+  }
   runs_.clear();
   groups_.clear();
   for (const auto& run : f.runs_) {
@@ -72,7 +78,9 @@ void SeparableRestriction::reset(const SeparableConcaveObjective& f,
       groups_.push_back(run.kernel);
     }
   }
+  std::size_t slot = 0;
   for (const Concave1d::BatchKernel* kernel : groups_) {
+    const std::size_t first = slot;
     const std::size_t pivot = kernel != nullptr
                                   ? kernel->pivot_param
                                   : Concave1d::BatchKernel::kNoPivot;
@@ -81,31 +89,28 @@ void SeparableRestriction::reset(const SeparableConcaveObjective& f,
       for (const auto& run : f.runs_) {
         if (run.kernel != kernel) continue;
         for (std::size_t k = run.begin; k < run.end; ++k) {
-          if (rd_[k] == 0.0) continue;
+          bool keep = rd_[k] != 0.0;
           if (phases == 2) {
             // Phase 0 collects the below-pivot regime, phase 1 the rest;
             // same quiet compare the kernels use.
             const bool below = x0[k] < f.soa_[pivot * n + k];
-            if (below != (phase == 0)) continue;
+            keep = keep & (below == (phase == 0));
           }
-          const std::size_t slot = x0c_.size();
-          if (!runs_.empty() && runs_.back().kernel == kernel &&
-              runs_.back().end == slot) {
-            runs_.back().end = slot + 1;
-          } else {
-            runs_.push_back({kernel, slot, slot + 1});
-          }
-          x0c_.push_back(x0[k]);
-          rdc_.push_back(rd_[k]);
-          idx_.push_back(k);
+          x0c_[slot] = x0[k];
+          rdc_[slot] = rd_[k];
+          idx_[slot] = k;
+          slot += keep;
         }
       }
     }
+    // One kernel's slots are contiguous: a single run.
+    if (slot > first) runs_.push_back({kernel, first, slot});
   }
+  active_ = slot;
 
   // Compact SoA coefficient table: parameter j of slot i at soa_[j*m+i],
   // gathered from the objective's full-width table.
-  const std::size_t m = x0c_.size();
+  const std::size_t m = active_;
   soa_.resize(Concave1d::kBatchParamCount * m);
   for (std::size_t i = 0; i < m; ++i) {
     const std::size_t k = idx_[i];
@@ -133,7 +138,7 @@ void SeparableRestriction::reset(const SeparableConcaveObjective& f,
 
 void SeparableRestriction::eval_range(std::size_t begin, std::size_t end,
                                       double t, SimdLevel level) {
-  const std::size_t m = x0c_.size();
+  const std::size_t m = active_;
   double* __restrict xt = xt_.data();
   select_fill(level)(xt + begin, x0c_.data() + begin, rdc_.data() + begin, t,
                      end - begin);
@@ -161,7 +166,7 @@ void SeparableRestriction::eval_range(std::size_t begin, std::size_t end,
 
 Phi::Derivs SeparableRestriction::derivs(double t) {
   NETMON_REQUIRE(f_ != nullptr, "restriction not reset");
-  const std::size_t m = x0c_.size();
+  const std::size_t m = active_;
   const SimdLevel level = simd_dispatch_level();
   if (pool_ != nullptr && m >= kParallelMinSlots) {
     // Elementwise probe work sharded; the sums below stay serial, so the

@@ -69,7 +69,7 @@ class SeparableRestriction final : public Phi {
   std::span<const double> rd() const { return {rd_.data(), rd_.size()}; }
 
   /// Number of terms participating in the probes (rd_k != 0).
-  std::size_t active_terms() const { return x0c_.size(); }
+  std::size_t active_terms() const { return active_; }
 
  private:
   /// A maximal group of consecutive compact slots sharing a batch kernel
@@ -91,6 +91,8 @@ class SeparableRestriction final : public Phi {
   // The probe arrays are page-backed: every probe streams all of them,
   // and dedicated mappings keep large searches fast (util/page_alloc.hpp).
   util::PageVector<double> rd_;   // dense R d (term_count)
+  // x0c_, rdc_ and idx_ are term_count + 1 long; their first active_
+  // slots hold the active terms.
   util::PageVector<double> x0c_;  // compact x0 over active terms
   util::PageVector<double> rdc_;  // compact rd over active terms
   util::PageVector<double> soa_;  // compact SoA coeffs (stride = active)
@@ -102,6 +104,7 @@ class SeparableRestriction final : public Phi {
   // Distinct batch kernels in first-appearance order — the gather's
   // family partition; grow-only scratch reused across resets.
   std::vector<const Concave1d::BatchKernel*> groups_;
+  std::size_t active_ = 0;
   double second0_ = 0.0;
   bool have_second0_ = false;
 };

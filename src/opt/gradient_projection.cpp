@@ -18,6 +18,9 @@ constexpr double kSnapUpperRel = 1e-13;  // relative snap-to-alpha threshold
 // (and one after any mass-update iteration) bounds the accumulated drift
 // independently of the iteration count.
 constexpr int kInnerRefreshInterval = 64;
+// Arc steps stop once one gains no more than this share of the best gain
+// of the current run of arc steps (Moré and Toraldo's eta_2).
+constexpr double kArcMinGain = 0.25;
 
 double norm2(std::span<const double> v) {
   double sum = 0.0;
@@ -148,12 +151,24 @@ SolveResult maximize(const Objective& f,
   ws.s_prev.resize(n);
   ws.d_prev.resize(n);
   ws.dir_tmp.resize(n);
+  ws.y.resize(n);
+  ws.p_prev.resize(n);
+  ws.g_prev.resize(n);
   std::vector<double>& g = ws.g;
   std::vector<double>& s = ws.s;
   std::vector<double>& d = ws.d;
   std::vector<double>& s_prev = ws.s_prev;
   std::vector<double>& d_prev = ws.d_prev;
   bool have_prev = false;
+  // Arc steps (Moré–Toraldo GPCG): after a face step stops on a bound,
+  // step along d = P_X(p + t g) - p instead, for as long as those steps
+  // change the active set and each gains more than kArcMinGain of the
+  // run's best gain.
+  bool arc = false;
+  bool arc_taken = false;     // the previous iteration took an arc step
+  double arc_value = 0.0;     // objective before that step
+  double arc_best_gain = 0.0;
+  double arc_lambda_per_t = 0.0;  // projection multiplier / t, warm start
 
   // Full inner-product recompute, sharded when the pool is engaged.
   auto refresh_inner = [&] {
@@ -243,6 +258,33 @@ SolveResult maximize(const Objective& f,
       f.gradient(result.p, g, ws.eval);
     }
     eval_current = true;
+    // Objective at p, for the arc-step progress test (the fused
+    // evaluation has it already).
+    double value = 0.0;
+    if (arc || arc_taken) {
+      value = sep != nullptr ? current_value : f.value(result.p, ws.eval);
+    }
+    if (arc_taken) {
+      const double gain = value - arc_value;
+      arc = arc && gain > kArcMinGain * arc_best_gain;
+      arc_best_gain = std::max(arc_best_gain, gain);
+      arc_taken = false;
+    }
+    // Barzilai–Borwein length ||dp||^2 / -(dp . dg) from the last iterate
+    // pair (arc is only ever set after an iteration has stored it), then
+    // this iterate becomes the pair's tail.
+    double bb_t = kNan;
+    if (arc) {
+      double pp = 0.0, pg = 0.0;
+      for (std::size_t j = 0; j < n; ++j) {
+        const double dp = result.p[j] - ws.p_prev[j];
+        pp += dp * dp;
+        pg += dp * (g[j] - ws.g_prev[j]);
+      }
+      bb_t = pp / -pg;
+    }
+    std::copy(result.p.begin(), result.p.end(), ws.p_prev.begin());
+    std::copy(g.begin(), g.end(), ws.g_prev.begin());
     project_direction(g, u, bounds, s, par_dim);
 
     const double snorm = norm2(s);
@@ -264,49 +306,74 @@ SolveResult maximize(const Objective& f,
       continue;
     }
 
-    // Search direction: projected gradient, optionally conjugate-mixed.
-    d = s;
-    if (options.polak_ribiere && have_prev) {
-      double num = 0.0, den = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        num += s[j] * (s[j] - s_prev[j]);
-        den += s_prev[j] * s_prev[j];
+    // Arc direction d = P_X(p + t g) - p: every point p + tau d with tau
+    // in [0, 1] is feasible, so the 1-D search runs on [0, 1].
+    bool arc_step = false;
+    double t_max = 1.0;
+    if (arc) {
+      double t = bb_t;
+      if (!(std::isfinite(t) && t > 0.0)) {
+        double sinf = 0.0;
+        for (double v : s) sinf = std::max(sinf, std::abs(v));
+        t = 1.0 / sinf;
       }
-      const double beta = den > 0.0 ? std::max(0.0, num / den) : 0.0;
-      if (beta > 0.0) {
-        for (std::size_t j = 0; j < n; ++j) d[j] = s[j] + beta * d_prev[j];
-        // Keep d inside the active subspace and ascending.
-        std::copy(d.begin(), d.end(), ws.dir_tmp.begin());
-        project_direction(ws.dir_tmp, u, bounds, d, par_dim);
-        if (dot(d, g) <= 0.0) d = s;
-      }
+      for (std::size_t j = 0; j < n; ++j) ws.y[j] = result.p[j] + t * g[j];
+      arc_lambda_per_t =
+          constraints.project_into(ws.y, d, arc_lambda_per_t * t) / t;
+      for (std::size_t j = 0; j < n; ++j) d[j] -= result.p[j];
+      // Not an ascent direction (p is a fixed point of the projection up
+      // to rounding): take a face step instead.
+      arc_step = dot(g, d) > 0.0;
+      arc_taken = arc_step;
+      arc_value = value;
     }
 
-    // Longest feasible step along d.
-    double t_max = std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (bounds[j] != BoundState::kFree) continue;
-      if (d[j] > 0.0) {
-        t_max = std::min(t_max, (alpha[j] - result.p[j]) / d[j]);
-      } else if (d[j] < 0.0) {
-        t_max = std::min(t_max, result.p[j] / -d[j]);
-      }
-    }
-    if (!std::isfinite(t_max) || t_max <= 0.0) {
-      // Numerically stuck against a bound: activate the offender(s).
-      bool changed = false;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (bounds[j] != BoundState::kFree) continue;
-        if ((d[j] < 0.0 && result.p[j] <= kSnapLower) ||
-            (d[j] > 0.0 && alpha[j] - result.p[j] <= kSnapUpperRel * alpha[j])) {
-          classify(j);
-          changed = changed || bounds[j] != BoundState::kFree;
+    if (!arc_step) {
+      // Search direction: projected gradient, optionally conjugate-mixed.
+      d = s;
+      if (options.polak_ribiere && have_prev) {
+        double num = 0.0, den = 0.0;
+        for (std::size_t j = 0; j < n; ++j) {
+          num += s[j] * (s[j] - s_prev[j]);
+          den += s_prev[j] * s_prev[j];
+        }
+        const double beta = den > 0.0 ? std::max(0.0, num / den) : 0.0;
+        if (beta > 0.0) {
+          for (std::size_t j = 0; j < n; ++j) d[j] = s[j] + beta * d_prev[j];
+          // Keep d inside the active subspace and ascending.
+          std::copy(d.begin(), d.end(), ws.dir_tmp.begin());
+          project_direction(ws.dir_tmp, u, bounds, d, par_dim);
+          if (dot(d, g) <= 0.0) d = s;
         }
       }
-      have_prev = false;
-      trace_iter(snorm, 0.0, /*kkt_valid=*/false);
-      if (!changed) break;  // nothing to activate: give up this path
-      continue;
+
+      // Longest feasible step along d.
+      t_max = std::numeric_limits<double>::infinity();
+      for (std::size_t j = 0; j < n; ++j) {
+        if (bounds[j] != BoundState::kFree) continue;
+        if (d[j] > 0.0) {
+          t_max = std::min(t_max, (alpha[j] - result.p[j]) / d[j]);
+        } else if (d[j] < 0.0) {
+          t_max = std::min(t_max, result.p[j] / -d[j]);
+        }
+      }
+      if (!std::isfinite(t_max) || t_max <= 0.0) {
+        // Numerically stuck against a bound: activate the offender(s).
+        bool changed = false;
+        for (std::size_t j = 0; j < n; ++j) {
+          if (bounds[j] != BoundState::kFree) continue;
+          if ((d[j] < 0.0 && result.p[j] <= kSnapLower) ||
+              (d[j] > 0.0 &&
+               alpha[j] - result.p[j] <= kSnapUpperRel * alpha[j])) {
+            classify(j);
+            changed = changed || bounds[j] != BoundState::kFree;
+          }
+        }
+        have_prev = false;
+        trace_iter(snorm, 0.0, /*kkt_valid=*/false);
+        if (!changed) break;  // nothing to activate: give up this path
+        continue;
+      }
     }
 
     // 1-D search. phi'(0) = dot(g, d) is already in hand — the search
@@ -367,11 +434,23 @@ SolveResult maximize(const Objective& f,
     }
     eval_current = false;
 
-    if (ls.hit_boundary) {
+    if (arc_step) {
+      // One arc step can pin and free coordinates alike.
+      bool changed = false;
+      for (std::size_t j = 0; j < n; ++j) {
+        const BoundState before = bounds[j];
+        classify(j);
+        changed = changed || bounds[j] != before;
+      }
+      arc = changed;
+      have_prev = false;
+    } else if (ls.hit_boundary) {
       for (std::size_t j = 0; j < n; ++j) {
         if (bounds[j] == BoundState::kFree) classify(j);
       }
       have_prev = false;  // active set changed: restart conjugacy
+      arc = true;
+      arc_best_gain = 0.0;
     } else {
       // Interior maximum along d; still snap coordinates that crept onto
       // a bound to keep t_max healthy next iteration.

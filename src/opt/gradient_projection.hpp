@@ -1,15 +1,24 @@
-// Gradient projection solver for concave maximization over box bounds
-// plus one budget equality — the paper's algorithm (§IV-D).
+// Gradient projection solver for concave maximization over box bounds plus
+// one budget equality — the paper's algorithm (§IV-D), with projection-arc
+// steps while the active set moves.
 //
-// At every iteration the gradient is projected onto the subspace spanned
-// by the currently active constraints; the point moves along the
-// (optionally Polak-Ribiere-mixed) projected direction until the
-// objective is maximized on the segment (safeguarded Newton 1-D search)
-// or an inactive constraint is hit, which is then activated. When the
-// projected gradient vanishes, the KKT multipliers decide: all
-// non-negative => certified global optimum (the objective is concave and
-// the feasible set convex); otherwise the active constraints with
-// negative multipliers are released and the search continues.
+// A face step projects the gradient onto the subspace spanned by the
+// currently active constraints and moves along the (optionally
+// Polak-Ribiere-mixed) projected direction until the objective is
+// maximized on the segment (safeguarded Newton 1-D search) or an inactive
+// constraint is hit, which is then activated. After a face step stops on
+// a bound, the solver takes arc steps instead (the switching rule of Moré
+// and Toraldo's GPCG): d = P_X(p + t g) - p, with t the Barzilai-Borwein
+// length of the last iterate pair and P_X the Euclidean projection onto
+// the feasible set, searched on [0, 1] by the same 1-D search. Every
+// coordinate is then re-classified — one arc step can pin and free
+// thousands of bounds — and arc steps continue while they change the
+// active set and each gains more than a quarter of the run's best gain;
+// then face steps resume. When the projected gradient vanishes, the KKT
+// multipliers decide: all non-negative => certified global optimum (the
+// objective is concave and the feasible set convex); otherwise the active
+// constraints with negative multipliers are released and the search
+// continues.
 #pragma once
 
 #include <functional>
@@ -101,7 +110,8 @@ struct SolveResult {
   /// Iterations executed (one per search direction, as in the paper).
   int iterations = 0;
   /// Number of times active constraints with negative multipliers had to
-  /// be released (paper §IV-D reports 1.64 +- 1.17 on their data).
+  /// be released (paper §IV-D reports 1.64 +- 1.17 on their data). Arc
+  /// steps free coordinates too, without counting here.
   int release_events = 0;
   /// Budget multiplier lambda at termination.
   double lambda = 0.0;
@@ -124,6 +134,9 @@ struct SolverWorkspace {
   std::vector<double> s_prev;   // previous projected gradient (PR mixing)
   std::vector<double> d_prev;   // previous direction (PR mixing)
   std::vector<double> dir_tmp;  // re-projection scratch for mixed d
+  std::vector<double> y;        // arc step: p + t g, before projection
+  std::vector<double> p_prev;   // previous iterate (Barzilai-Borwein pair)
+  std::vector<double> g_prev;   // previous gradient (Barzilai-Borwein pair)
   std::vector<double> x;        // maintained inner products (fused path)
   SeparableRestriction restriction;  // line-search probes (fused path)
   KktReport kkt;

@@ -1,7 +1,8 @@
 // One-dimensional maximization along a search direction (paper §IV-D).
 //
 // The solver moves from p along direction d until either the objective is
-// maximized on the segment or an inactive constraint is hit. The paper
+// maximized on the segment or its end is reached (the first inactive
+// constraint of a face step, the projected point of an arc step). The paper
 // uses Newton's method for the 1-D search (fast, needs C^2); a bisection
 // fallback doubles as the safeguard and as the ablation variant.
 //

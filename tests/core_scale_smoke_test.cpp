@@ -6,6 +6,8 @@
 // instance.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/approx.hpp"
 #include "core/partition.hpp"
 #include "core/scale_scenario.hpp"
@@ -59,6 +61,37 @@ TEST(ScaleSmoke, ApproxTierCertifiesWithinOnePercent) {
   // Feasibility of the stitched + polished placement.
   EXPECT_NEAR(result.solution.budget_used, problem.theta(),
               1e-6 * problem.theta());
+}
+
+TEST(ScaleSmoke, CertifiedSolveBitIdenticalSeriallyAndOnFourThreads) {
+  // Every arc step re-projects the whole iterate and every step shards
+  // its term work: the certified answer must not depend on either.
+  const ScaleScenario scenario = make_scale_scenario(smoke_options());
+  ProblemOptions options;
+  options.theta = 0.0;  // default_scale_theta
+  const PlacementProblem problem = make_problem(scenario, options);
+
+  opt::SolverOptions serial;
+  serial.max_iterations = 100000;
+  const opt::SolveResult a =
+      opt::maximize(problem.objective(), problem.constraints(), serial);
+  ASSERT_EQ(a.status, opt::SolveStatus::kOptimal);
+
+  runtime::ThreadPool pool(4);
+  opt::SolverOptions pooled = serial;
+  pooled.pool = &pool;
+  pooled.parallel_min_terms = 0;
+  const opt::SolveResult b =
+      opt::maximize(problem.objective(), problem.constraints(), pooled);
+  EXPECT_EQ(b.status, opt::SolveStatus::kOptimal);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.release_events, b.release_events);
+  EXPECT_EQ(std::memcmp(&a.value, &b.value, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&a.lambda, &b.lambda, sizeof(double)), 0);
+  ASSERT_EQ(a.p.size(), b.p.size());
+  EXPECT_EQ(std::memcmp(a.p.data(), b.p.data(), a.p.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(a.bounds, b.bounds);
 }
 
 }  // namespace

@@ -6,9 +6,12 @@
 #include <string>
 #include <vector>
 
+#include "core/utility.hpp"
 #include "obs/metrics.hpp"
+#include "opt/constraints.hpp"
 #include "opt/objective.hpp"
 #include "topo/graph.hpp"
+#include "util/rng.hpp"
 
 namespace netmon::test {
 
@@ -76,6 +79,50 @@ inline double numeric_directional_second(const opt::Objective& f,
     return f.value(q);
   };
   return (at(h) - 2.0 * at(0.0) + at(-h)) / (h * h);
+}
+
+/// A placement-shaped instance whose optimum pins at least 90% of its
+/// coordinates at 0: one log-utility term per variable, a tenth of them
+/// with a steep utility (eps ~ 1e-3) and the rest nearly flat (eps ~ 1),
+/// plus n/4 flat terms shared by two or three variables, loads in
+/// [1, 10] and a budget that affords rates around 1% on the steep tenth.
+/// The start point (uniform scaling of alpha) has every rate above 0.
+struct SparseOptimum {
+  opt::SeparableConcaveObjective objective;
+  opt::BoxBudgetConstraints constraints;
+};
+
+inline SparseOptimum sparse_optimum_instance(std::size_t n,
+                                             std::uint64_t seed) {
+  Rng rng(seed);
+  opt::SeparableConcaveObjective::SparseRows rows;
+  std::vector<std::shared_ptr<const opt::Concave1d>> utilities;
+  std::vector<double> u(n), alpha(n, 1.0);
+  double theta = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const bool steep = j % 10 == 0;
+    u[j] = rng.uniform(1.0, 10.0);
+    if (steep) theta += 0.01 * u[j];
+    rows.push_back({{j, 1.0}});
+    utilities.push_back(std::make_shared<core::LogUtility>(
+        steep ? rng.uniform(1e-3, 2e-3) : rng.uniform(0.5, 1.0)));
+  }
+  for (std::size_t k = 0; k < n / 4; ++k) {
+    opt::SeparableConcaveObjective::SparseRows::value_type row;
+    const std::size_t touches = 2 + rng.below(2);
+    for (std::size_t t = 0; t < touches; ++t) {
+      const std::size_t col = rng.below(n);
+      bool seen = false;
+      for (const auto& [c, v] : row) seen = seen || c == col;
+      if (!seen) row.emplace_back(col, rng.uniform(0.2, 1.0));
+    }
+    rows.push_back(std::move(row));
+    utilities.push_back(
+        std::make_shared<core::LogUtility>(rng.uniform(0.5, 1.0)));
+  }
+  return {opt::SeparableConcaveObjective(n, std::move(rows),
+                                         std::move(utilities)),
+          opt::BoxBudgetConstraints(std::move(u), std::move(alpha), theta)};
 }
 
 }  // namespace netmon::test

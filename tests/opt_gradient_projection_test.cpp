@@ -5,7 +5,11 @@
 #include <cmath>
 #include <memory>
 
+#include "core/problem.hpp"
+#include "core/scenario.hpp"
 #include "core/utility.hpp"
+#include "helpers.hpp"
+#include "opt/barrier.hpp"
 #include "opt/projected_ascent.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -207,6 +211,63 @@ TEST_P(RandomInstanceTest, MatchesReferenceSolver) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomInstanceTest, ::testing::Range(0, 40));
+
+// ---------------------------------------------------------------------
+// Step rule: arc steps pin (and free) many coordinates per iteration.
+// ---------------------------------------------------------------------
+
+TEST(ArcSteps, PinMostCoordinatesInFewIterations) {
+  // A first-hit step pins about one coordinate, so with no release events
+  // a solve from an all-positive start needs at least one iteration per
+  // coordinate that ends at 0.
+  const std::size_t n = 2000;
+  const test::SparseOptimum inst = test::sparse_optimum_instance(n, 17);
+  const std::vector<double> start = inst.constraints.initial_point();
+  for (double p : start) ASSERT_GT(p, 0.0);
+  for (const bool fused : {true, false}) {
+    SolverOptions options;
+    options.use_fused = fused;
+    const SolveResult r = maximize(inst.objective, inst.constraints, options);
+    ASSERT_EQ(r.status, SolveStatus::kOptimal) << "fused " << fused;
+    std::size_t zeros = 0;
+    for (double p : r.p) zeros += p == 0.0;
+    EXPECT_GE(zeros, 9 * n / 10) << "fused " << fused;
+    EXPECT_LE(r.iterations, static_cast<int>(n / 10)) << "fused " << fused;
+    EXPECT_TRUE(inst.constraints.feasible(r.p, 1e-9));
+  }
+}
+
+TEST(ArcSteps, Sec4dInstancesMatchBarrierAndProjectedAscent) {
+  // The §IV-D experiment's input distribution (bench/sec4d_convergence):
+  // GEANT with randomized background volume, OD sizes and theta. Three
+  // independent algorithms must agree on every optimum.
+  const Rng base(4242);
+  for (std::size_t run = 0; run < 200; ++run) {
+    Rng rng = base.substream(run);
+    core::ScenarioOptions scenario_options;
+    scenario_options.background_pkt_per_sec = rng.uniform(0.7e6, 2.2e6);
+    core::GeantScenario scenario = core::make_geant_scenario(scenario_options);
+    for (double& s : scenario.task.expected_packets)
+      s *= rng.uniform(0.4, 2.5);
+    core::ProblemOptions options;
+    options.theta = rng.uniform(30000.0, 400000.0);
+    const core::PlacementProblem problem(scenario.net.graph, scenario.task,
+                                         scenario.loads, options);
+    const SolveResult main =
+        maximize(problem.objective(), problem.constraints());
+    ASSERT_EQ(main.status, SolveStatus::kOptimal) << "run " << run;
+    const double barrier =
+        maximize_barrier(problem.objective(), problem.constraints()).value;
+    ProjectedAscentOptions pa;
+    pa.max_iterations = 200000;
+    const double ascent =
+        maximize_reference(problem.objective(), problem.constraints(), pa)
+            .value;
+    const double tol = 1e-9 * std::abs(main.value);
+    EXPECT_NEAR(main.value, barrier, tol) << "run " << run;
+    EXPECT_NEAR(main.value, ascent, tol) << "run " << run;
+  }
+}
 
 }  // namespace
 }  // namespace netmon::opt

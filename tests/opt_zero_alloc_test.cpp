@@ -13,6 +13,7 @@
 
 #include "core/scenario.hpp"
 #include "core/solver.hpp"
+#include "helpers.hpp"
 #include "opt/gradient_projection.hpp"
 #include "opt/line_search.hpp"
 #include "opt/objective.hpp"
@@ -334,6 +335,46 @@ TEST(ZeroAlloc, InstrumentedWarmRepeatSolveAllocatesOnlyTheResult) {
   // And tracing records every iteration (plus the final summary).
   EXPECT_EQ(trace.total_recorded(),
             2 * (static_cast<std::uint64_t>(first.iterations) + 1));
+}
+
+TEST(ZeroAlloc, ProjectIntoAllocatesNothing) {
+  const GeantFixture fx;
+  const BoxBudgetConstraints& c = fx.problem.constraints();
+  std::vector<double> y = fx.interior_point();
+  for (std::size_t j = 0; j < y.size(); ++j) y[j] += (j % 3 == 0) ? 0.5 : -0.5;
+  std::vector<double> out(y.size());
+  EXPECT_EQ(allocations_in([&] { (void)c.project_into(y, out); }), 0u);
+}
+
+TEST(ZeroAlloc, WarmSolveTakingArcStepsAllocatesNothingPerIteration) {
+  // Most coordinates end at 0 from an all-positive start, in fewer
+  // iterations than coordinates pinned: first-hit steps pin about one
+  // coordinate each, so arc steps did the pinning.
+  const test::SparseOptimum inst = test::sparse_optimum_instance(400, 5);
+  for (const bool fused : {true, false}) {
+    SolverOptions options;
+    options.use_fused = fused;
+    // should_stop is polled at the top of every iteration: the count
+    // between the first and the last poll is the iteration loop's own.
+    std::size_t first_poll = 0, last_poll = 0;
+    options.should_stop = [&](int iterations) {
+      (iterations == 0 ? first_poll : last_poll) = g_alloc_count;
+      return false;
+    };
+    SolverWorkspace workspace;
+    (void)maximize(inst.objective, inst.constraints, options, nullptr,
+                   &workspace);
+    const SolveResult r = maximize(inst.objective, inst.constraints, options,
+                                   nullptr, &workspace);
+    ASSERT_EQ(r.status, SolveStatus::kOptimal) << "fused " << fused;
+    std::size_t zeros = 0;
+    for (double p : r.p) zeros += p == 0.0;
+    EXPECT_LT(static_cast<std::size_t>(r.iterations), zeros)
+        << "fused " << fused;
+    EXPECT_EQ(r.release_events, 0) << "fused " << fused;
+    EXPECT_EQ(last_poll - first_poll, 0u)
+        << "fused " << fused << ": the arc-step iteration loop allocates";
+  }
 }
 
 }  // namespace
