@@ -9,6 +9,8 @@
 //   drop       — same instance under kDrop with a tiny ring: the
 //                offered == consumed + dropped invariant, observed rate
 //   ring       — raw 2-thread SPSC transfer rate, records/sec
+//   replay     — single-thread SyntheticLinkSource replay of the busiest
+//                link, pkts/sec (best of 5): one producer's ceiling
 // scripts/perf_gate.sh holds throughput to a >= 1M pkts/sec floor (on
 // machines with >= 4 hardware threads), drop_rate to exactly 0, and
 // both throughput rows to a regression band against the baseline.
@@ -32,6 +34,7 @@ struct Instance {
   netflow::EgressMap egress;
   ingest::SyntheticTraffic traffic;
   sampling::RateVector rates;
+  topo::LinkId busiest = 0;
 
   static routing::RoutingMatrix demand_matrix(const core::GeantScenario& s) {
     std::vector<routing::OdPair> ods;
@@ -61,6 +64,7 @@ struct Instance {
     rates.assign(scenario.net.graph.link_count(), 0.0);
     for (std::size_t i = 0; i < 8 && i < links.size(); ++i)
       rates[links[i]] = 0.05;
+    busiest = links.front();
   }
 
   ingest::IngestStats run(runtime::ThreadPool& pool,
@@ -99,6 +103,22 @@ double ring_records_per_sec() {
   while (got < kTotal) got += ring.pop(out, 256);
   producer.join();
   return static_cast<double>(kTotal) / (watch.elapsed_ms() * 1e-3);
+}
+
+/// Single-thread replay rate of one link's source, best of 5.
+double replay_pkts_per_sec(const ingest::SyntheticTraffic& traffic,
+                           topo::LinkId link) {
+  std::vector<ingest::PacketRecord> batch(256);
+  double best_ms = 0.0;
+  for (int round = 0; round < 5; ++round) {
+    const auto source = traffic.source(link);
+    StopWatch watch;
+    while (source->next_batch(batch.data(), batch.size()) != 0) {
+    }
+    const double ms = watch.elapsed_ms();
+    if (round == 0 || ms < best_ms) best_ms = ms;
+  }
+  return static_cast<double>(traffic.packets_on(link)) / (best_ms * 1e-3);
 }
 
 }  // namespace
@@ -147,6 +167,14 @@ int main() {
   std::printf("  raw ring: %.1fM records/sec (2 threads, batch 256)\n",
               ring_rate * 1e-6);
 
+  const double replay_rate =
+      replay_pkts_per_sec(instance.traffic, instance.busiest);
+  std::printf("  replay: %.1fM pkts/sec (busiest link %u, %llu packets, "
+              "1 thread)\n",
+              replay_rate * 1e-6, instance.busiest,
+              static_cast<unsigned long long>(
+                  instance.traffic.packets_on(instance.busiest)));
+
   BenchReport report("ingest_perf", threads);
   report.result("throughput")
       .metric("ingest_pkts_per_sec", best.packets_per_sec)
@@ -161,6 +189,7 @@ int main() {
       .metric("drop_rate", lossy.drop_rate())
       .metric("drop_accounting_closed", accounted ? 1.0 : 0.0);
   report.result("ring").metric("ring_records_per_sec", ring_rate);
+  report.result("replay").metric("replay_pkts_per_sec", replay_rate);
   report.emit();
   return accounted ? 0 : 1;
 }

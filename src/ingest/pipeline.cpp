@@ -19,6 +19,29 @@ std::vector<double> pow2_bounds(double lo, double hi) {
   return bounds;
 }
 
+/// Largest-first (LPT) assignment: sources in descending `sizes` order,
+/// ties by index, each to the least-loaded producer, ties by producer
+/// index. An unknown size (0) weighs one packet, so unknowns still
+/// spread round-robin. Returns the source indices each producer owns.
+std::vector<std::vector<std::size_t>> assign_largest_first(
+    const std::vector<std::uint64_t>& sizes, unsigned producers) {
+  std::vector<std::size_t> order(sizes.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return sizes[a] > sizes[b];
+                   });
+  std::vector<std::vector<std::size_t>> owned(producers);
+  std::vector<std::uint64_t> load(producers, 0);
+  for (const std::size_t i : order) {
+    const auto p = static_cast<std::size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    owned[p].push_back(i);
+    load[p] += std::max<std::uint64_t>(sizes[i], 1);
+  }
+  return owned;
+}
+
 }  // namespace
 
 /// Everything keyed by one source (== one monitored-link stream). The
@@ -113,25 +136,21 @@ void IngestPipeline::add_sources(
   for (auto& source : sources) add_source(std::move(source));
 }
 
-void IngestPipeline::producer_loop(std::size_t producer_index,
-                                   unsigned producer_count) {
+void IngestPipeline::producer_loop(const std::vector<std::size_t>& owned) {
   const obs::Clock* clock = deps_.clock;
-  std::vector<PacketRecord> buffer(options_.batch);
-  // Pending [off, len) of `buffer` per owned source would force one
-  // buffer each; instead each source keeps its own staging vector only
-  // under the blocking policy where partial pushes can strand records.
+  // Each owned source stages one batch: next_batch writes straight into
+  // `staged`, and the ring takes [off, len) of it, over several passes
+  // when the ring is full.
   struct Slot {
     SourceState* state = nullptr;
-    std::vector<PacketRecord> pending;
+    std::vector<PacketRecord> staged;
+    std::size_t len = 0;
     std::size_t off = 0;
   };
-  std::vector<Slot> slots;
-  for (std::size_t i = producer_index; i < sources_.size();
-       i += producer_count) {
-    Slot slot;
-    slot.state = sources_[i].get();
-    slot.pending.reserve(options_.batch);
-    slots.push_back(std::move(slot));
+  std::vector<Slot> slots(owned.size());
+  for (std::size_t i = 0; i < owned.size(); ++i) {
+    slots[i].state = sources_[owned[i]].get();
+    slots[i].staged.resize(options_.batch);
   }
 
   for (;;) {
@@ -140,18 +159,17 @@ void IngestPipeline::producer_loop(std::size_t producer_index,
     for (Slot& slot : slots) {
       SourceState& s = *slot.state;
       // Refill the slot's staging batch from the source.
-      if (slot.off == slot.pending.size() && !s.source->exhausted()) {
+      if (slot.off == slot.len && !s.source->exhausted()) {
         const auto t0 = (produce_batch_ns_ && clock != nullptr)
                             ? clock->now()
                             : obs::TimePoint{};
         const std::size_t n =
-            s.source->next_batch(buffer.data(), options_.batch);
+            s.source->next_batch(slot.staged.data(), options_.batch);
         if (produce_batch_ns_ && clock != nullptr)
           produce_batch_ns_.observe(static_cast<double>(
               obs::to_ns(clock->now()) - obs::to_ns(t0)));
         if (n > 0) {
-          slot.pending.assign(buffer.begin(),
-                              buffer.begin() + static_cast<long>(n));
+          slot.len = n;
           slot.off = 0;
           s.produced += n;
           packets_total_.inc(n);
@@ -159,14 +177,14 @@ void IngestPipeline::producer_loop(std::size_t producer_index,
         }
       }
       // Move staged records into the ring under the overflow policy.
-      if (slot.off < slot.pending.size()) {
-        const std::size_t want = slot.pending.size() - slot.off;
+      if (slot.off < slot.len) {
+        const std::size_t want = slot.len - slot.off;
         std::size_t moved;
         if (options_.overflow == OverflowPolicy::kDrop) {
-          moved = s.ring->push_or_drop(slot.pending.data() + slot.off, want);
-          slot.off = slot.pending.size();  // overflow is gone, counted
+          moved = s.ring->push_or_drop(slot.staged.data() + slot.off, want);
+          slot.off = slot.len;  // overflow is gone, counted
         } else {
-          moved = s.ring->try_push(slot.pending.data() + slot.off, want);
+          moved = s.ring->try_push(slot.staged.data() + slot.off, want);
           slot.off += moved;
         }
         if (moved > 0) {
@@ -175,8 +193,7 @@ void IngestPipeline::producer_loop(std::size_t producer_index,
             ring_occupancy_.observe(static_cast<double>(s.ring->size()));
         }
       }
-      if (!(s.source->exhausted() && slot.off == slot.pending.size()))
-        done = false;
+      if (!(s.source->exhausted() && slot.off == slot.len)) done = false;
     }
     if (done) break;
     if (!progress) std::this_thread::yield();
@@ -259,6 +276,11 @@ IngestStats IngestPipeline::run() {
     }
     stats_.producer_threads = producers;
     stats_.consumer_shards = shards;
+    std::vector<std::uint64_t> sizes(sources_.size());
+    for (std::size_t i = 0; i < sources_.size(); ++i)
+      sizes[i] = sources_[i]->source->expected_packets();
+    const std::vector<std::vector<std::size_t>> owned =
+        assign_largest_first(sizes, producers);
     producers_running_.store(producers, std::memory_order_release);
 
     if (deps_.pool != nullptr) {
@@ -270,8 +292,7 @@ IngestStats IngestPipeline::run() {
       std::vector<std::thread> threads;
       threads.reserve(producers);
       for (unsigned p = 0; p < producers; ++p)
-        threads.emplace_back(
-            [this, p, producers] { producer_loop(p, producers); });
+        threads.emplace_back([this, &owned, p] { producer_loop(owned[p]); });
       for (std::thread& t : threads) t.join();
       group.wait();
     } else {
@@ -280,8 +301,7 @@ IngestStats IngestPipeline::run() {
       std::vector<std::thread> threads;
       threads.reserve(producers);
       for (unsigned p = 0; p < producers; ++p)
-        threads.emplace_back(
-            [this, p, producers] { producer_loop(p, producers); });
+        threads.emplace_back([this, &owned, p] { producer_loop(owned[p]); });
       consumer_loop(0, 1);
       for (std::thread& t : threads) t.join();
     }

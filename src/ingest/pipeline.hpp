@@ -2,8 +2,9 @@
 // tables -> exporter/collector, on the runtime pool.
 //
 //   PacketSource (per link: synthetic replay or pcap trace)
-//        |          producer threads, sources partitioned round-robin;
-//        v          one producer owns a source, so each ring stays SPSC
+//        |          producer threads; sources go largest-first
+//        |          (expected_packets) to the least-loaded producer,
+//        v          one producer per source, so each ring stays SPSC
 //   SpscRing<PacketRecord>   (one per source; NETMON_INGEST_RING slots;
 //        |                    overflow policy: block = backpressure,
 //        v                    drop = counted in dropped_packets)
@@ -68,8 +69,9 @@ struct IngestOptions {
   std::size_t ring_capacity = 0;
   /// Records moved per ring synchronization point.
   std::size_t batch = 256;
-  /// Producer threads; sources are partitioned round-robin across them
-  /// (clamped to the source count).
+  /// Producer threads (clamped to the source count). Sources go
+  /// largest-first by expected_packets() to the least-loaded producer,
+  /// so the busiest link gets a producer of its own.
   unsigned producers = 2;
   /// Consumer shards; 0 = one per pool worker. Clamped to
   /// [1, min(pool size, source count)].
@@ -146,7 +148,7 @@ class IngestPipeline {
  private:
   struct SourceState;
 
-  void producer_loop(std::size_t producer_index, unsigned producer_count);
+  void producer_loop(const std::vector<std::size_t>& owned);
   void consumer_loop(std::size_t shard_index, unsigned shard_count);
   void process_batch(SourceState& state, const PacketRecord* records,
                      std::size_t count);

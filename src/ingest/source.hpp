@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "ingest/packet.hpp"
 #include "topo/graph.hpp"
@@ -32,6 +33,10 @@ class PacketSource {
 
   /// True once the stream can never produce again.
   virtual bool exhausted() const noexcept = 0;
+
+  /// Packets the source expects to deliver in total; 0 = unknown. The
+  /// pipeline balances sources across producers by it.
+  virtual std::uint64_t expected_packets() const noexcept { return 0; }
 };
 
 /// Resolves the ring-capacity knob: `configured` when non-zero, else the

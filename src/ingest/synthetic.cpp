@@ -26,84 +26,121 @@ bool flow_crosses(const traffic::FlowKey& key, topo::LinkId link,
 
 }  // namespace
 
-/// Replays one link's schedule: a min-heap over the active spans keyed
-/// by next emission time, activated lazily in start order. No allocation
-/// after construction (the heap vector is reserved to the span count).
-class SyntheticLinkSource final : public PacketSource {
- public:
-  SyntheticLinkSource(topo::LinkId link,
-                      const std::vector<SyntheticTraffic::PacketSpan>* spans)
-      : link_(link), spans_(spans) {
-    heap_.reserve(spans_->size());
+SyntheticLinkSource::SyntheticLinkSource(topo::LinkId link,
+                                         std::span<const PacketSpan> spans,
+                                         std::uint64_t packets)
+    : link_(link), spans_(spans), packets_(packets) {
+  live_.reserve(spans.size());
+  head_.reserve(bucket_count(packets));
+  next_.reserve(spans.size());
+  due_.reserve(spans.size());
+}
+
+std::uint32_t SyntheticLinkSource::bucket_count(
+    std::uint64_t packets) noexcept {
+  // About four packets per bucket; the cap bounds the calendar at 16 MB.
+  constexpr std::uint64_t kPacketsPerBucket = 4;
+  constexpr std::uint64_t kMaxBuckets = std::uint64_t{1} << 22;
+  return static_cast<std::uint32_t>(
+      std::clamp<std::uint64_t>(packets / kPacketsPerBucket, 1, kMaxBuckets));
+}
+
+std::uint32_t SyntheticLinkSource::bucket_of(double ts) const noexcept {
+  // Monotone in ts: a subtraction, a positive scale and a floor all
+  // preserve order, and so does the clamp, which also takes overflow
+  // and NaN to the last bucket.
+  const double x = (ts - t0_) * inv_width_;
+  return x < last_bucket_ ? static_cast<std::uint32_t>(x) : buckets_ - 1;
+}
+
+void SyntheticLinkSource::build() {
+  built_ = true;
+  std::uint64_t total = 0;
+  double t0 = spans_.empty() ? 0.0 : spans_.front().start_sec;
+  double t_end = t0;
+  for (const PacketSpan& span : spans_) {
+    if (span.packets == 0) continue;
+    total += span.packets;
+    t0 = std::min(t0, span.start_sec);
+    // The range only sizes the buckets: packets past t_end clamp into
+    // the last one, so the closed form need not match the replayed sums.
+    t_end = std::max(t_end, span.start_sec + span.dt_sec * (span.packets - 1));
   }
+  t0_ = t0;
+  buckets_ = bucket_count(total);
+  last_bucket_ = static_cast<double>(buckets_ - 1);
+  inv_width_ = t_end > t0 ? buckets_ / (t_end - t0) : 0.0;
+  live_.resize(spans_.size());
+  head_.assign(buckets_, kNone);
+  next_.resize(spans_.size());
+  due_.resize(spans_.size());
+  load_next_bucket();
+}
 
-  topo::LinkId link() const noexcept override { return link_; }
-
-  std::size_t next_batch(PacketRecord* out, std::size_t max) override {
-    const auto& spans = *spans_;
+void SyntheticLinkSource::load_next_bucket() {
+  while (next_bucket_ < buckets_) {
+    const std::uint32_t b = next_bucket_++;
     std::size_t n = 0;
-    while (n < max) {
-      // Activate every span due at or before the emission front; with an
-      // empty heap the front is the next span's own start.
-      while (next_span_ < spans.size() &&
-             (heap_.empty() ||
-              spans[next_span_].start_sec <= heap_.front().next_ts)) {
-        heap_.push_back(Active{spans[next_span_].start_sec,
-                               static_cast<std::uint32_t>(next_span_),
-                               spans[next_span_].packets});
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
-        ++next_span_;
-      }
-      if (heap_.empty()) break;
+    for (std::uint32_t s = head_[b]; s != kNone; s = next_[s])
+      due_[n++] = Due{live_[s].ts, s};
+    for (; next_span_ < spans_.size() &&
+           bucket_of(spans_[next_span_].start_sec) <= b;
+         ++next_span_) {
+      const PacketSpan& span = spans_[next_span_];
+      if (span.packets == 0) continue;
+      const auto s = static_cast<std::uint32_t>(next_span_);
+      const std::uint8_t fin = span.fin_last ? kPacketFin : 0;
+      live_[s] = Live{span.key, span.pkt_bytes, span.packets, span.start_sec,
+                      span.dt_sec, fin};
+      due_[n++] = Due{span.start_sec, s};
+    }
+    if (n == 0) continue;
+    std::sort(due_.begin(), due_.begin() + static_cast<long>(n),
+              [](const Due& a, const Due& b) { return later(a, b); });
+    bucket_ = b;
+    due_count_ = n;
+    return;
+  }
+}
 
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      Active& active = heap_.back();
-      const SyntheticTraffic::PacketSpan& span = spans[active.span];
-      PacketRecord& record = out[n++];
-      record.key = span.key;
-      record.bytes = span.pkt_bytes;
-      record.flags =
-          (span.fin_last && active.remaining == 1) ? kPacketFin : 0;
-      record.ts_sec = active.next_ts;
-      if (--active.remaining == 0) {
-        heap_.pop_back();
+std::size_t SyntheticLinkSource::next_batch(PacketRecord* out,
+                                            std::size_t max) {
+  if (!built_) build();
+  std::size_t n = 0;
+  while (n < max && due_count_ != 0) {
+    const std::uint32_t s = due_[--due_count_].span;
+    Live& live = live_[s];
+    PacketRecord& record = out[n++];
+    record.key = live.key;
+    record.bytes = live.bytes;
+    record.flags = live.left == 1 ? live.fin : 0;
+    record.ts_sec = live.ts;
+    if (--live.left != 0) {
+      live.ts += live.dt;
+      const std::uint32_t b = bucket_of(live.ts);
+      if (b <= bucket_) {
+        // Still due in this bucket: insertion step, latest first.
+        const Due due{live.ts, s};
+        std::size_t i = due_count_;
+        for (; i > 0 && later(due, due_[i - 1]); --i) due_[i] = due_[i - 1];
+        due_[i] = due;
+        ++due_count_;
       } else {
-        active.next_ts += span.dt_sec;
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
+        next_[s] = head_[b];
+        head_[b] = s;
       }
     }
-    return n;
+    if (due_count_ == 0) load_next_bucket();
   }
-
-  bool exhausted() const noexcept override {
-    return heap_.empty() && next_span_ >= spans_->size();
-  }
-
- private:
-  struct Active {
-    double next_ts = 0.0;
-    std::uint32_t span = 0;
-    std::uint32_t remaining = 0;
-  };
-  /// Min-heap order on (time, span index) — the index tie-break keeps
-  /// the emission order fully deterministic.
-  struct Later {
-    bool operator()(const Active& a, const Active& b) const noexcept {
-      if (a.next_ts != b.next_ts) return a.next_ts > b.next_ts;
-      return a.span > b.span;
-    }
-  };
-
-  topo::LinkId link_;
-  const std::vector<SyntheticTraffic::PacketSpan>* spans_;
-  std::vector<Active> heap_;
-  std::size_t next_span_ = 0;
-};
+  return n;
+}
 
 SyntheticTraffic::SyntheticTraffic(const routing::RoutingMatrix& matrix,
                                    const traffic::TrafficMatrix& tm,
                                    SyntheticOptions options)
-    : options_(options), spans_(matrix.link_count()) {
+    : options_(options),
+      spans_(matrix.link_count()),
+      packets_(matrix.link_count(), 0) {
   NETMON_REQUIRE(tm.size() == matrix.od_count(),
                  "traffic matrix rows must match routing-matrix ODs");
   Rng rng(options_.seed);
@@ -129,6 +166,7 @@ SyntheticTraffic::SyntheticTraffic(const routing::RoutingMatrix& matrix,
         const auto link = static_cast<topo::LinkId>(column);
         if (!flow_crosses(flow.key, link, fraction)) continue;
         spans_[link].push_back(span);
+        packets_[link] += span.packets;
       }
     }
   }
@@ -142,8 +180,14 @@ SyntheticTraffic::SyntheticTraffic(const routing::RoutingMatrix& matrix,
 
 std::unique_ptr<PacketSource> SyntheticTraffic::source(
     topo::LinkId link) const {
+  const std::span<const PacketSpan> spans = schedule(link);  // range check
+  return std::make_unique<SyntheticLinkSource>(link, spans, packets_[link]);
+}
+
+std::span<const PacketSpan> SyntheticTraffic::schedule(
+    topo::LinkId link) const {
   NETMON_REQUIRE(link < spans_.size(), "link id out of range");
-  return std::make_unique<SyntheticLinkSource>(link, &spans_[link]);
+  return spans_[link];
 }
 
 std::vector<std::unique_ptr<PacketSource>> SyntheticTraffic::sources(
@@ -159,9 +203,7 @@ std::vector<std::unique_ptr<PacketSource>> SyntheticTraffic::sources(
 
 std::uint64_t SyntheticTraffic::packets_on(topo::LinkId link) const {
   NETMON_REQUIRE(link < spans_.size(), "link id out of range");
-  std::uint64_t total = 0;
-  for (const PacketSpan& span : spans_[link]) total += span.packets;
-  return total;
+  return packets_[link];
 }
 
 }  // namespace netmon::ingest

@@ -150,6 +150,41 @@ TEST(IngestPipeline, DeterministicAcrossThreadCounts) {
           << "OD " << k << " at producers=" << config.producers
           << " pool=" << config.pool_threads;
   }
+
+  // Skewed: A->B carries over half of all packets, so largest-first
+  // gives it a producer of its own; six monitored links spread the rest.
+  LineScenario skewed;
+  skewed.tm = {{{0, 1}, 600.0}, {{1, 2}, 60.0}, {{2, 3}, 60.0},
+               {{0, 3}, 40.0}, {{3, 0}, 40.0}};
+  skewed.matrix = routing::RoutingMatrix::single_path(
+      skewed.graph, {{0, 1}, {1, 2}, {2, 3}, {0, 3}, {3, 0}});
+  skewed.rates.assign(skewed.graph.link_count(), 0.1);
+  SyntheticTraffic skewed_traffic(skewed.matrix, skewed.tm, skewed.synth);
+  std::uint64_t all_packets = 0;
+  for (topo::LinkId l = 0; l < skewed.graph.link_count(); ++l)
+    all_packets += skewed_traffic.packets_on(l);
+  ASSERT_GT(2 * skewed_traffic.packets_on(skewed.ab), all_packets);
+  ASSERT_EQ(skewed_traffic.sources(skewed.rates).size(), 6u);
+  const RunOutcome skewed_base =
+      run_pipeline(skewed, skewed_traffic, {.pool_threads = 1});
+  for (const unsigned producers : {1u, 2u, 3u, 4u}) {
+    for (const unsigned shards : {1u, 2u}) {
+      const RunOutcome r = run_pipeline(
+          skewed, skewed_traffic,
+          {.producers = producers, .pool_threads = shards});
+      EXPECT_EQ(r.stats.producer_threads, producers);
+      EXPECT_EQ(r.stats.consumer_shards, shards);
+      EXPECT_EQ(r.stats.offered_packets, all_packets);
+      EXPECT_EQ(r.stats.sampled_packets, skewed_base.stats.sampled_packets);
+      EXPECT_EQ(r.stats.exported_records,
+                skewed_base.stats.exported_records);
+      ASSERT_EQ(r.estimates.size(), skewed_base.estimates.size());
+      for (std::size_t k = 0; k < r.estimates.size(); ++k)
+        EXPECT_EQ(r.estimates[k], skewed_base.estimates[k])
+            << "skewed OD " << k << " at producers=" << producers
+            << " shards=" << shards;
+    }
+  }
 }
 
 TEST(IngestPipeline, DropPolicyKeepsTheAccountingInvariant) {

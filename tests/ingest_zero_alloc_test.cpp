@@ -1,8 +1,8 @@
 // Zero-allocation steady state of the ingest hot path (same
 // counting-allocator idiom as topo_presize_test.cpp): once the ring is
-// built, the synthetic source's heap is warmed, and the flow table has
-// seen every flow once, pushing packets source -> ring -> sampler ->
-// table performs no heap allocations at all.
+// built, the synthetic source's calendar storage is reserved, and the
+// flow table has seen every flow once, pushing packets source -> ring ->
+// sampler -> table performs no heap allocations at all.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -84,13 +84,42 @@ TEST(IngestZeroAlloc, SyntheticReplayAllocatesNothingAfterWarmup) {
   ASSERT_NE(source, nullptr);
 
   ingest::PacketRecord batch[256];
-  ASSERT_GT(source->next_batch(batch, 256), 0u);  // warm the heap merge
+  ASSERT_GT(source->next_batch(batch, 256), 0u);  // build the calendar
   const std::size_t allocs = allocations_in([&] {
     while (!source->exhausted()) {
       if (source->next_batch(batch, 256) == 0) break;
     }
   });
   EXPECT_EQ(allocs, 0u) << "synthetic replay allocated in steady state";
+}
+
+TEST(IngestZeroAlloc, ZeroDurationSpanReplayAllocatesNothing) {
+  // 100k packets at one instant: every packet lands in one calendar
+  // bucket, which the replay drains without growing anything.
+  ingest::PacketSpan span;
+  span.packets = 100000;
+  span.pkt_bytes = 64;
+  span.start_sec = 1.5;
+  span.fin_last = true;
+  const std::vector<ingest::PacketSpan> spans = {span};
+  ingest::SyntheticLinkSource source(0, spans, span.packets);
+
+  ingest::PacketRecord batch[256];
+  std::uint64_t delivered = source.next_batch(batch, 256);
+  ASSERT_EQ(delivered, 256u);  // first batch: the calendar is built
+  std::uint64_t fins = 0;
+  const std::size_t allocs = allocations_in([&] {
+    while (!source.exhausted()) {
+      const std::size_t n = source.next_batch(batch, 256);
+      if (n == 0) break;
+      delivered += n;
+      for (std::size_t i = 0; i < n; ++i)
+        if (batch[i].fin()) ++fins;
+    }
+  });
+  EXPECT_EQ(allocs, 0u) << "zero-duration replay allocated after warmup";
+  EXPECT_EQ(delivered, 100000u);
+  EXPECT_EQ(fins, 1u);
 }
 
 TEST(IngestZeroAlloc, HotPathSteadyStateAllocatesNothing) {
