@@ -2,7 +2,8 @@
 # Validates the observability artifacts a traced run leaves behind in
 # $1 (the NETMON_OBS_DIR handed to examples/operations_center):
 #   trace.jsonl   — per-iteration solver trace, schema-complete lines,
-#                   one final summary record per solve with KKT fields,
+#                   a known step kind on every line, one final summary
+#                   record per solve with KKT fields,
 #   metrics.prom  — Prometheus 0.0.4 text: serve + solver families plus
 #                   the multi-tenant netmon_cache_* / netmon_tenant_*
 #                   families with plausible accounting, cumulative
@@ -35,7 +36,7 @@ done
 [ "${fail}" -eq 0 ] || { echo "check_obs: FAIL"; exit 1; }
 
 # -- trace.jsonl: every line carries the full iteration schema. --
-TRACE_KEYS='"solve": "iter": "final": "fused": "status": "value":
+TRACE_KEYS='"solve": "iter": "final": "fused": "status": "kind": "value":
 "grad_inf": "proj_grad_norm": "step": "active_set": "restriction_terms":
 "kkt_lambda": "kkt_residual":'
 # shellcheck disable=SC2086
@@ -47,6 +48,22 @@ if awk -v keys="$(echo ${TRACE_KEYS})" '
   ok "trace.jsonl lines carry the full schema"
 else
   bad "trace.jsonl schema incomplete"
+fi
+
+# Every record names its step kind; the summary records, and only they,
+# are "summary".
+if awk '
+    { if (!match($0, /"kind":"[a-z]*"/)) { printf "line %d: no kind\n", NR; exit 1 }
+      kind = substr($0, RSTART + 8, RLENGTH - 9)
+      if (kind !~ /^(face|arc|release|optimal|certified|summary)$/) {
+        printf "line %d: unknown kind %s\n", NR, kind; exit 1 }
+      final = index($0, "\"final\":true") > 0
+      if (final != (kind == "summary")) {
+        printf "line %d: kind %s on final=%d\n", NR, kind, final; exit 1 } }
+  ' "${DIR}/trace.jsonl"; then
+  ok "trace.jsonl records carry known step kinds"
+else
+  bad "trace.jsonl step kinds invalid"
 fi
 
 finals="$(grep -c '"final":true' "${DIR}/trace.jsonl" || true)"

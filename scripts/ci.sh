@@ -4,12 +4,13 @@
 # (the correctness gate for src/runtime/ and everything layered on it,
 # now including the TCP transport and the multi-tenant RCU registry /
 # solve cache), an AddressSanitizer build of the flat-CSR linalg kernels,
-# the zero-allocation solver hot path and its feasible-set projection,
-# and the wire codec + TCP frame
+# the zero-allocation solver hot path, its feasible-set projection and
+# its certificate fill (selection over a reused item buffer), and the
+# wire codec + TCP frame
 # reassembly fuzz suites (the gate for src/linalg/ span/pointer
 # arithmetic, workspace reuse, and byte-level decode), and a UBSan
 # build of the fused batch
-# kernels and solver — including the explicit AVX2/AVX-512 intrinsic TUs
+# kernels, solver and certificate — including the explicit AVX2/AVX-512 intrinsic TUs
 # via opt_simd_dispatch_test (the gate for the branch-free select
 # arithmetic in src/core/utility_kernels.hpp and the intrinsic kernels).
 # A dedicated -march=x86-64-v3 leg then rebuilds the tree with the wider
@@ -61,7 +62,7 @@ ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
 
 echo "== tier-2: ASan gate on linalg kernels + solver + wire decoding =="
 ASAN_TESTS="linalg_sparse_test opt_objective_test opt_gradient_projection_test \
-opt_constraints_test opt_zero_alloc_test core_solver_test \
+opt_constraints_test opt_certificate_test opt_zero_alloc_test core_solver_test \
 estimate_flow_inversion_test serve_wire_test serve_tcp_fuzz_test"
 cmake -B "${PREFIX}-asan" -S . -DNETMON_SANITIZE=address
 # shellcheck disable=SC2086
@@ -71,7 +72,8 @@ ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
 
 echo "== tier-2: UBSan gate on the fused batch kernels + solver =="
 UBSAN_TESTS="core_utility_test opt_fused_eval_test opt_objective_test \
-opt_gradient_projection_test opt_constraints_test core_solver_test \
+opt_gradient_projection_test opt_constraints_test opt_certificate_test \
+core_solver_test \
 opt_simd_dispatch_test"
 cmake -B "${PREFIX}-ubsan" -S . -DNETMON_SANITIZE=undefined
 # shellcheck disable=SC2086

@@ -126,6 +126,10 @@ ApproxResult solve_approx(const PlacementProblem& problem,
   std::vector<double> lambda_g(G, 0.0);
   std::vector<long long> iters_g(G, 0);
   std::vector<double> x_full(m);
+  // The tier's target: rounds stop once the stitched point is certified
+  // within it, and the polish stops there too. 0 = run every round.
+  const double target = options.polish.gap_tolerance;
+  bool certified = false;
 
   for (std::size_t round = 0; round < options.rounds; ++round) {
     f.inner_into(p, x_full);
@@ -165,6 +169,16 @@ ApproxResult solve_approx(const PlacementProblem& problem,
       for (std::size_t g = 0; g < G; ++g) solve_group(g);
     }
 
+    ++result.rounds;
+    if (target > 0.0) {
+      // The stitched point meets the budget up to float drift; project
+      // it back onto the exact feasible set and certify it.
+      p = cons.project(p);
+      result.certificate = opt::certified_gap(f, cons, p);
+      certified = result.certificate.relative_gap <= target;
+      if (certified) break;
+    }
+
     // Rebalance theta_g toward equalized budget marginals: each group's
     // lambda is the marginal utility of one more unit of budget, so
     // weight the next split by theta_g * lambda_g (damped by the cap
@@ -187,29 +201,31 @@ ApproxResult solve_approx(const PlacementProblem& problem,
   for (long long it : iters_g) result.subsolve_iterations += it;
 
   // ---- Stitch + polish --------------------------------------------------
-  // The stitched point meets the budget up to float drift; project back
-  // onto the exact feasible set before polishing/certifying.
-  p = cons.project(p);
-
+  // Polish, with the gap stop on, only while the last round is still
+  // above the target; the polish certifies its own exit point, so every
+  // answer's certificate is computed once.
   opt::SolveResult polished;
-  polished.p = p;
-  polished.status = opt::SolveStatus::kIterationLimit;
-  if (options.polish_iterations > 0) {
-    opt::SolverOptions po = options.polish;
-    po.max_iterations = options.polish_iterations;
-    po.pool = options.pool;
-    polished = opt::maximize(f, cons, po, &p);
-    p = polished.p;
+  polished.status = certified ? opt::SolveStatus::kCertified
+                              : opt::SolveStatus::kIterationLimit;
+  if (!certified) {
+    if (target <= 0.0) p = cons.project(p);  // else the last check did
+    if (options.polish_iterations > 0) {
+      opt::SolverOptions po = options.polish;
+      po.max_iterations = options.polish_iterations;
+      po.pool = options.pool;
+      polished = opt::maximize(f, cons, po, &p);
+      p = std::move(polished.p);
+      result.certificate = polished.certificate;
+    } else if (target <= 0.0) {
+      result.certificate = opt::certified_gap(f, cons, p);
+    }
   }
-
-  result.certificate = opt::certified_gap(f, cons, p);
 
   result.solution = evaluate_rates(problem, problem.expand(p));
   result.solution.status = polished.status;
   result.solution.iterations = polished.iterations;
   result.solution.release_events = polished.release_events;
   result.solution.lambda = polished.lambda;
-  result.solution.tier = SolveTier::kApprox;
   result.solution.certified_gap = result.certificate.gap;
   result.solution.certified_upper_bound = result.certificate.upper_bound;
   return result;

@@ -26,9 +26,13 @@
 //      parallel when a pool is given) restores cross-group budget
 //      optimality beyond what the water-fill reached.
 //
-// The returned solution carries a Frank-Wolfe certificate
-// (opt/certificate.hpp): f* <= f(p_hat) + gap, computed from one full
-// gradient — so the tier's accuracy is *measured*, never assumed.
+// Every answer carries a Frank-Wolfe certificate (opt/certificate.hpp):
+// f* <= f(p_hat) + gap, computed from one full gradient — so the tier's
+// accuracy is *measured*, never assumed. The tier stops at its target,
+// polish.gap_tolerance (1% by default): after each round the projected
+// stitched point is certified, and the rounds end once it meets the
+// target; the polish runs only when the last round is still above it,
+// with the same gap stop, and its exit certificate becomes the answer's.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +55,14 @@ struct ApproxOptions {
   /// Iteration cap of the full-problem polish; 0 disables polishing.
   int polish_iterations = 100;
   /// Solver configuration for the polish (max_iterations is overridden
-  /// by polish_iterations; pool by `pool`).
-  opt::SolverOptions polish;
+  /// by polish_iterations; pool by `pool`). Its gap_tolerance is the
+  /// tier's target for the rounds and the polish alike; 0 runs every
+  /// round and polish_iterations in full.
+  opt::SolverOptions polish = [] {
+    opt::SolverOptions polish;
+    polish.gap_tolerance = 0.01;
+    return polish;
+  }();
   /// Fans group subsolves out and parallelizes the polish. Null = serial.
   runtime::ThreadPool* pool = nullptr;
   /// Warm start (candidate space, feasible); null = initial point.
@@ -65,12 +75,16 @@ struct ApproxResult {
   opt::GapCertificate certificate;
   /// Groups actually solved (after empty-group compaction).
   std::size_t groups = 0;
+  /// Block-Jacobi rounds run (fewer than ApproxOptions::rounds when a
+  /// round met the target).
+  std::size_t rounds = 0;
   /// Total subsolve iterations across all groups and rounds.
   long long subsolve_iterations = 0;
 };
 
 /// Solves `problem` approximately over `partition`. The solution's
-/// tier/certified_gap fields carry the certificate.
+/// certified_gap fields carry the certificate; its status is kCertified
+/// when the answer met the target.
 ApproxResult solve_approx(const PlacementProblem& problem,
                           const Partition& partition,
                           const ApproxOptions& options = {});

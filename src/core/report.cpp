@@ -7,15 +7,25 @@
 
 namespace netmon::core {
 
+namespace {
+
+const char* status_name(opt::SolveStatus status) {
+  switch (status) {
+    case opt::SolveStatus::kOptimal: return "optimal";
+    case opt::SolveStatus::kIterationLimit: return "iteration_limit";
+    case opt::SolveStatus::kCancelled: return "cancelled";
+    case opt::SolveStatus::kCertified: return "certified";
+  }
+  return "unknown";
+}
+
+}  // namespace
+
 void write_report(std::ostream& out, const PlacementSolution& solution,
                   const topo::Graph& graph) {
   JsonWriter json(out);
   json.begin_object();
-  json.key("status").value(solution.status == opt::SolveStatus::kOptimal
-                               ? "optimal"
-                               : solution.status == opt::SolveStatus::kCancelled
-                                     ? "cancelled"
-                                     : "iteration_limit");
+  json.key("status").value(status_name(solution.status));
   json.key("iterations").value(solution.iterations);
   json.key("release_events").value(solution.release_events);
   json.key("lambda").value(solution.lambda);

@@ -56,6 +56,8 @@ PlacementSolution solve_placement(const PlacementProblem& problem,
   solution.iterations = raw.iterations;
   solution.release_events = raw.release_events;
   solution.lambda = raw.lambda;
+  solution.certified_gap = raw.certificate.gap;
+  solution.certified_upper_bound = raw.certificate.upper_bound;
   return solution;
 }
 

@@ -28,14 +28,6 @@ struct OdReport {
   std::vector<topo::LinkId> monitored_links;
 };
 
-/// Which solve path produced a solution.
-enum class SolveTier {
-  /// Full-problem gradient projection with a KKT optimality certificate.
-  kExact,
-  /// Partitioned block solve (core/approx) with a Frank-Wolfe gap bound.
-  kApprox,
-};
-
 /// A placement: rates per link plus reporting and solver diagnostics.
 struct PlacementSolution {
   /// Sampling rate per link (full link-id space; 0 = monitor off).
@@ -52,11 +44,11 @@ struct PlacementSolution {
   int iterations = 0;
   int release_events = 0;
   double lambda = 0.0;
-  /// Solve path. Exact solves certify optimality via KKT; approximate
-  /// solves (core/approx) certify the gap bound below instead.
-  SolveTier tier = SolveTier::kExact;
-  /// Certified Frank-Wolfe optimality gap (opt/certificate.hpp):
-  /// f* <= total_utility + certified_gap. Zero for exact solves.
+  /// Certified Frank-Wolfe optimality gap of the returned rates
+  /// (opt/certificate.hpp): f* <= certified_upper_bound =
+  /// total_utility + certified_gap, up to rounding. Every solve sets it:
+  /// near zero at a KKT optimum, within the requested tolerance after a
+  /// gap stop (kCertified). Zero for evaluate_rates reports.
   double certified_gap = 0.0;
   double certified_upper_bound = 0.0;
 };

@@ -20,19 +20,20 @@ std::vector<double> pow2_bounds(double lo, double hi) {
 }
 
 /// Largest-first (LPT) assignment: sources in descending `sizes` order,
-/// ties by index, each to the least-loaded producer, ties by producer
-/// index. An unknown size (0) weighs one packet, so unknowns still
-/// spread round-robin. Returns the source indices each producer owns.
+/// ties by index, each to the least-loaded worker (producer or consumer
+/// shard), ties by worker index. An unknown size (0) weighs one packet,
+/// so unknowns still spread round-robin. Returns the source indices each
+/// worker owns.
 std::vector<std::vector<std::size_t>> assign_largest_first(
-    const std::vector<std::uint64_t>& sizes, unsigned producers) {
+    const std::vector<std::uint64_t>& sizes, unsigned workers) {
   std::vector<std::size_t> order(sizes.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
                      return sizes[a] > sizes[b];
                    });
-  std::vector<std::vector<std::size_t>> owned(producers);
-  std::vector<std::uint64_t> load(producers, 0);
+  std::vector<std::vector<std::size_t>> owned(workers);
+  std::vector<std::uint64_t> load(workers, 0);
   for (const std::size_t i : order) {
     const auto p = static_cast<std::size_t>(
         std::min_element(load.begin(), load.end()) - load.begin());
@@ -227,12 +228,10 @@ void IngestPipeline::process_batch(SourceState& state,
         static_cast<double>(obs::to_ns(clock->now()) - obs::to_ns(t0)));
 }
 
-void IngestPipeline::consumer_loop(std::size_t shard_index,
-                                   unsigned shard_count) {
+void IngestPipeline::consumer_loop(const std::vector<std::size_t>& sources) {
   std::vector<PacketRecord> buffer(options_.batch);
   std::vector<SourceState*> owned;
-  for (std::size_t i = shard_index; i < sources_.size(); i += shard_count)
-    owned.push_back(sources_[i].get());
+  for (const std::size_t i : sources) owned.push_back(sources_[i].get());
 
   for (;;) {
     // Read the producer count BEFORE scanning the rings: every push
@@ -279,8 +278,12 @@ IngestStats IngestPipeline::run() {
     std::vector<std::uint64_t> sizes(sources_.size());
     for (std::size_t i = 0; i < sources_.size(); ++i)
       sizes[i] = sources_[i]->source->expected_packets();
+    // Producers and consumer shards both take sources largest-first, so
+    // the busiest link has a producer and a shard of its own.
     const std::vector<std::vector<std::size_t>> owned =
         assign_largest_first(sizes, producers);
+    const std::vector<std::vector<std::size_t>> consumed =
+        assign_largest_first(sizes, shards);
     producers_running_.store(producers, std::memory_order_release);
 
     if (deps_.pool != nullptr) {
@@ -288,7 +291,7 @@ IngestStats IngestPipeline::run() {
       // capture NIC would be); the caller helps drain via wait().
       runtime::TaskGroup group(*deps_.pool);
       for (unsigned c = 0; c < shards; ++c)
-        group.run([this, c, shards] { consumer_loop(c, shards); });
+        group.run([this, &consumed, c] { consumer_loop(consumed[c]); });
       std::vector<std::thread> threads;
       threads.reserve(producers);
       for (unsigned p = 0; p < producers; ++p)
@@ -302,7 +305,7 @@ IngestStats IngestPipeline::run() {
       threads.reserve(producers);
       for (unsigned p = 0; p < producers; ++p)
         threads.emplace_back([this, &owned, p] { producer_loop(owned[p]); });
-      consumer_loop(0, 1);
+      consumer_loop(consumed[0]);
       for (std::thread& t : threads) t.join();
     }
   }

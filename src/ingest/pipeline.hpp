@@ -9,7 +9,8 @@
 //        |                    overflow policy: block = backpressure,
 //        v                    drop = counted in dropped_packets)
 //   consumer shards on runtime::ThreadPool — each shard owns a disjoint
-//   set of sources and, per packet: monotonic-clamps the timestamp,
+//   set of sources, assigned largest-first like the producers', and,
+//   per packet: monotonic-clamps the timestamp,
 //   applies the configured sampling:: policy (per-link sampler seeded
 //   via Rng::substream(link id)), and folds sampled packets into that
 //   link's netflow::FlowTable, whose idle/active/FIN expiries export
@@ -74,7 +75,8 @@ struct IngestOptions {
   /// so the busiest link gets a producer of its own.
   unsigned producers = 2;
   /// Consumer shards; 0 = one per pool worker. Clamped to
-  /// [1, min(pool size, source count)].
+  /// [1, min(pool size, source count)]. Sources go to shards
+  /// largest-first, as to producers.
   unsigned consumers = 0;
   /// Root seed: link samplers draw substream(link id) from it.
   std::uint64_t seed = 42;
@@ -149,7 +151,7 @@ class IngestPipeline {
   struct SourceState;
 
   void producer_loop(const std::vector<std::size_t>& owned);
-  void consumer_loop(std::size_t shard_index, unsigned shard_count);
+  void consumer_loop(const std::vector<std::size_t>& sources);
   void process_batch(SourceState& state, const PacketRecord* records,
                      std::size_t count);
 

@@ -12,7 +12,8 @@ namespace {
 // Word layout of one ring record.
 //   0 solve_id
 //   1 iteration
-//   2 flags: bit 0 final, bit 1 fused, bits 8..15 status
+//   2 flags: bit 0 final, bit 1 fused, bits 8..15 status, bits 16..23
+//     step kind
 //   3 value            (double bits)
 //   4 grad_inf         (double bits)
 //   5 proj_grad_norm   (double bits)
@@ -29,6 +30,18 @@ double dec(std::uint64_t bits) noexcept { return std::bit_cast<double>(bits); }
 
 }  // namespace
 
+const char* step_kind_name(StepKind kind) noexcept {
+  switch (kind) {
+    case StepKind::kFace: return "face";
+    case StepKind::kArc: return "arc";
+    case StepKind::kRelease: return "release";
+    case StepKind::kOptimal: return "optimal";
+    case StepKind::kCertified: return "certified";
+    case StepKind::kSummary: return "summary";
+  }
+  return "unknown";
+}
+
 SolverTrace::SolverTrace(std::size_t capacity) : ring_(capacity) {}
 
 void SolverTrace::record(const TraceRecord& r) noexcept {
@@ -36,7 +49,8 @@ void SolverTrace::record(const TraceRecord& r) noexcept {
   words[0] = r.solve_id;
   words[1] = r.iteration;
   words[2] = (r.final_record ? kFlagFinal : 0) | (r.fused ? kFlagFused : 0) |
-             (static_cast<std::uint64_t>(r.status) << 8);
+             (static_cast<std::uint64_t>(r.status) << 8) |
+             (static_cast<std::uint64_t>(r.kind) << 16);
   words[3] = enc(r.value);
   words[4] = enc(r.grad_inf);
   words[5] = enc(r.proj_grad_norm);
@@ -57,6 +71,7 @@ std::vector<TraceRecord> SolverTrace::snapshot() const {
     r.final_record = (words[2] & kFlagFinal) != 0;
     r.fused = (words[2] & kFlagFused) != 0;
     r.status = static_cast<std::uint8_t>(words[2] >> 8);
+    r.kind = static_cast<StepKind>(static_cast<std::uint8_t>(words[2] >> 16));
     r.value = dec(words[3]);
     r.grad_inf = dec(words[4]);
     r.proj_grad_norm = dec(words[5]);
@@ -79,6 +94,7 @@ void SolverTrace::write_jsonl(std::ostream& out) const {
         .key("final").value(r.final_record)
         .key("fused").value(r.fused)
         .key("status").value(static_cast<std::uint64_t>(r.status))
+        .key("kind").value(step_kind_name(r.kind))
         .key("value").value(r.value)
         .key("grad_inf").value(r.grad_inf)
         .key("proj_grad_norm").value(r.proj_grad_norm)

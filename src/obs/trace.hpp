@@ -2,9 +2,10 @@
 // solver, plus the registry counter bundle the solver hot loop bumps.
 //
 // The trace is an opt-in SolverOptions hook: when attached, the solver
-// appends one record per iteration (objective, gradient norms, step
-// length, active-set and restriction sizes, KKT numbers when they were
-// computed that iteration, fused-vs-generic path) and one final summary
+// appends one record per iteration (what kind of step it took,
+// objective, gradient norms, step length, active-set and restriction
+// sizes, KKT numbers when they were computed that iteration,
+// fused-vs-generic path) and one final summary
 // record whose KKT fields equal the SolveResult's report. Storage is a
 // pre-sized lock-free ring (obs/ring.hpp): recording allocates nothing,
 // so the solver hot loop stays zero-allocation with tracing enabled, and
@@ -25,6 +26,28 @@
 
 namespace netmon::obs {
 
+/// What one trace record's iteration did.
+enum class StepKind : std::uint8_t {
+  /// A step along the (Polak-Ribiere-mixed) projected gradient, or the
+  /// bound activation that replaces it when a bound blocks it.
+  kFace,
+  /// A projection-arc step d = P_X(p + t g) - p.
+  kArc,
+  /// A KKT check that released bounds with negative multipliers.
+  kRelease,
+  /// A KKT check that certified the optimum (the solve stops).
+  kOptimal,
+  /// The Frank-Wolfe gap met SolverOptions::gap_tolerance (the solve
+  /// stops).
+  kCertified,
+  /// The summary record appended after the loop exits.
+  kSummary,
+};
+
+/// The JSONL name of `kind`: face, arc, release, optimal, certified,
+/// summary.
+const char* step_kind_name(StepKind kind) noexcept;
+
 /// One solver iteration (or the final summary when `final` is set).
 /// Doubles default to NaN = "not computed this iteration"; the JSONL
 /// export renders NaN as null.
@@ -37,6 +60,7 @@ struct TraceRecord {
   bool fused = false;
   /// opt::SolveStatus at exit, meaningful on the final record.
   std::uint8_t status = 0;
+  StepKind kind = StepKind::kFace;
   double value = 0.0;
   /// Gradient infinity norm |g|_inf and projected-gradient 2-norm.
   double grad_inf = 0.0;

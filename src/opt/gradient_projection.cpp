@@ -195,6 +195,7 @@ SolveResult maximize(const Objective& f,
   int iters_since_refresh = 0;
 
   int iter = 0;
+  const bool check_gap = options.gap_tolerance > 0.0;
 
   // Opt-in iteration tracing. Everything below only READS solver state:
   // with trace unset the iterate sequence is bit-identical, and with it
@@ -204,11 +205,13 @@ SolveResult maximize(const Objective& f,
   const std::uint64_t solve_id = trace ? trace->begin_solve() : 0;
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   // `kkt_valid`: ws.kkt holds multipliers computed at this iterate.
-  auto trace_iter = [&](double snorm, double step, bool kkt_valid) {
+  auto trace_iter = [&](obs::StepKind kind, double snorm, double step,
+                        bool kkt_valid) {
     if (trace == nullptr) return;
     obs::TraceRecord r;
     r.solve_id = solve_id;
     r.iteration = static_cast<std::uint32_t>(iter);
+    r.kind = kind;
     r.fused = sep != nullptr;
     r.value = sep != nullptr ? current_value : kNan;
     // One fused pass, four max accumulators: a single max chain over
@@ -258,11 +261,20 @@ SolveResult maximize(const Objective& f,
       f.gradient(result.p, g, ws.eval);
     }
     eval_current = true;
-    // Objective at p, for the arc-step progress test (the fused
-    // evaluation has it already).
+    // Objective at p, for the gap stop and the arc-step progress test
+    // (the fused evaluation has it already).
     double value = 0.0;
-    if (arc || arc_taken) {
+    if (arc || arc_taken || check_gap) {
       value = sep != nullptr ? current_value : f.value(result.p, ws.eval);
+    }
+    if (check_gap) {
+      result.certificate =
+          certificate_at(value, g, result.p, constraints, ws.fill);
+      if (result.certificate.relative_gap <= options.gap_tolerance) {
+        result.status = SolveStatus::kCertified;
+        trace_iter(obs::StepKind::kCertified, kNan, 0.0, /*kkt_valid=*/false);
+        break;
+      }
     }
     if (arc_taken) {
       const double gain = value - arc_value;
@@ -293,11 +305,12 @@ SolveResult maximize(const Objective& f,
       compute_kkt(g, u, bounds, options.kkt_tol, ws.kkt);
       result.lambda = ws.kkt.lambda;
       result.worst_multiplier = ws.kkt.worst;
-      trace_iter(snorm, 0.0, /*kkt_valid=*/true);
       if (ws.kkt.satisfied) {
         result.status = SolveStatus::kOptimal;
+        trace_iter(obs::StepKind::kOptimal, snorm, 0.0, /*kkt_valid=*/true);
         break;
       }
+      trace_iter(obs::StepKind::kRelease, snorm, 0.0, /*kkt_valid=*/true);
       // Release every active constraint whose multiplier is negative
       // (paper §IV-D) and keep searching.
       for (std::size_t j : ws.kkt.violating) bounds[j] = BoundState::kFree;
@@ -370,7 +383,7 @@ SolveResult maximize(const Objective& f,
           }
         }
         have_prev = false;
-        trace_iter(snorm, 0.0, /*kkt_valid=*/false);
+        trace_iter(obs::StepKind::kFace, snorm, 0.0, /*kkt_valid=*/false);
         if (!changed) break;  // nothing to activate: give up this path
         continue;
       }
@@ -396,11 +409,12 @@ SolveResult maximize(const Objective& f,
       compute_kkt(g, u, bounds, options.kkt_tol, ws.kkt);
       result.lambda = ws.kkt.lambda;
       result.worst_multiplier = ws.kkt.worst;
-      trace_iter(snorm, 0.0, /*kkt_valid=*/true);
       if (ws.kkt.satisfied) {
         result.status = SolveStatus::kOptimal;
+        trace_iter(obs::StepKind::kOptimal, snorm, 0.0, /*kkt_valid=*/true);
         break;
       }
+      trace_iter(obs::StepKind::kRelease, snorm, 0.0, /*kkt_valid=*/true);
       for (std::size_t j : ws.kkt.violating) bounds[j] = BoundState::kFree;
       ++result.release_events;
       have_prev = false;
@@ -469,7 +483,8 @@ SolveResult maximize(const Objective& f,
       }
     }
     correct_budget();
-    trace_iter(snorm, ls.t, /*kkt_valid=*/false);
+    trace_iter(arc_step ? obs::StepKind::kArc : obs::StepKind::kFace, snorm,
+               ls.t, /*kkt_valid=*/false);
 
     if (maintain_x && (++iters_since_refresh >= kInnerRefreshInterval ||
                        deltas_this_iter > n / 4)) {
@@ -503,6 +518,12 @@ SolveResult maximize(const Objective& f,
     result.lambda = ws.kkt.lambda;
     result.worst_multiplier = ws.kkt.worst;
   }
+  // The returned point's certificate, from the same gradient (a gap stop
+  // certified this very point already).
+  if (result.status != SolveStatus::kCertified) {
+    result.certificate =
+        certificate_at(result.value, g, result.p, constraints, ws.fill);
+  }
 
   options.counters.iterations.inc(static_cast<std::uint64_t>(iter));
   options.counters.release_events.inc(
@@ -516,6 +537,7 @@ SolveResult maximize(const Objective& f,
     r.solve_id = solve_id;
     r.iteration = static_cast<std::uint32_t>(result.iterations);
     r.final_record = true;
+    r.kind = obs::StepKind::kSummary;
     r.fused = sep != nullptr;
     r.status = static_cast<std::uint8_t>(result.status);
     r.value = result.value;

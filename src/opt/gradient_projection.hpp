@@ -19,12 +19,21 @@
 // objective is concave and the feasible set convex); otherwise the active
 // constraints with negative multipliers are released and the search
 // continues.
+//
+// Stop rule. By default a solve ends on the KKT certificate (kOptimal),
+// the iteration cap, or should_stop. With SolverOptions::gap_tolerance
+// set, every iteration also certifies its iterate from the value and
+// gradient it has just evaluated (opt/certificate.hpp: one O(n) knapsack
+// fill and one dot product, less than an iteration) and stops with
+// kCertified once the Frank-Wolfe gap is within that relative tolerance.
+// Either way the result carries the certificate of its returned point.
 #pragma once
 
 #include <functional>
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "opt/certificate.hpp"
 #include "opt/constraints.hpp"
 #include "opt/fused_eval.hpp"
 #include "opt/kkt.hpp"
@@ -44,6 +53,11 @@ struct SolverOptions {
   double grad_tol = 1e-9;
   /// Multiplier negativity tolerance for the KKT certificate.
   double kkt_tol = 1e-8;
+  /// Relative Frank-Wolfe gap at which the solve stops with
+  /// SolveStatus::kCertified, once f* <= value + gap_tolerance * |value|
+  /// is certified. 0 turns the check off: the solve then ends on its KKT
+  /// certificate, bit-identical to a solve without the check.
+  double gap_tolerance = 0.0;
   /// Mix the previous direction per Polak-Ribiere (paper §IV-D: avoids
   /// the zigzag path of pure projected gradients). Off = plain projection
   /// (ablation).
@@ -100,7 +114,14 @@ enum class SolveStatus {
   /// SolverOptions::should_stop asked for an early exit (deadline or
   /// iteration budget). The returned point is feasible but uncertified.
   kCancelled,
+  /// The Frank-Wolfe gap met SolverOptions::gap_tolerance: the point is
+  /// within SolveResult::certificate of the optimum, not necessarily at
+  /// it. Keep this the last value (kLastSolveStatus).
+  kCertified,
 };
+
+/// The highest SolveStatus value; decoders bound status bytes by it.
+inline constexpr SolveStatus kLastSolveStatus = SolveStatus::kCertified;
 
 /// Solver outcome and diagnostics.
 struct SolveResult {
@@ -119,6 +140,8 @@ struct SolveResult {
   double worst_multiplier = 0.0;
   /// Final active-set classification of every coordinate.
   std::vector<BoundState> bounds;
+  /// Frank-Wolfe certificate of `p`: f* <= certificate.upper_bound.
+  GapCertificate certificate;
 };
 
 /// All iteration scratch of one maximize() call: the objective-evaluation
@@ -140,6 +163,7 @@ struct SolverWorkspace {
   std::vector<double> x;        // maintained inner products (fused path)
   SeparableRestriction restriction;  // line-search probes (fused path)
   KktReport kkt;
+  std::vector<KnapsackItem> fill;  // certificate knapsack items
 };
 
 /// Maximizes `f` over `constraints`. `start` overrides the default

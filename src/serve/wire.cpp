@@ -236,9 +236,8 @@ core::PlacementSolution read_solution(Reader& in) {
   solution.total_utility = in.f64();
   solution.budget_used = in.f64();
   const std::uint8_t status = in.u8();
-  NETMON_REQUIRE(
-      status <= static_cast<std::uint8_t>(opt::SolveStatus::kCancelled),
-      "unknown solve status");
+  NETMON_REQUIRE(status <= static_cast<std::uint8_t>(opt::kLastSolveStatus),
+                 "unknown solve status");
   solution.status = static_cast<opt::SolveStatus>(status);
   solution.iterations = static_cast<int>(in.u32());
   solution.release_events = static_cast<int>(in.u32());

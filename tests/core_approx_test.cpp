@@ -36,10 +36,11 @@ void check_problem(const PlacementProblem& problem, std::size_t groups,
       << "certificate does not bound the exact optimum";
   // ...and the approximate value can never beat the optimum.
   EXPECT_LE(approx.solution.total_utility, exact.total_utility + slack);
-  // Tier accuracy target.
+  // Tier accuracy target, met by a certified stop.
   EXPECT_LE(approx.certificate.relative_gap, max_relative_gap);
+  EXPECT_EQ(approx.solution.status, opt::SolveStatus::kCertified);
+  EXPECT_GE(approx.rounds, 1u);
   // The solution carries the certificate.
-  EXPECT_EQ(approx.solution.tier, SolveTier::kApprox);
   EXPECT_EQ(approx.solution.certified_gap, approx.certificate.gap);
   EXPECT_EQ(approx.solution.certified_upper_bound,
             approx.certificate.upper_bound);
@@ -117,6 +118,24 @@ TEST(ApproxTier, DeterministicAcrossPoolSizes) {
           << "rate @" << i << " threads=" << threads;
     EXPECT_EQ(parallel.certificate.gap, serial.certificate.gap);
   }
+}
+
+TEST(ApproxTier, ZeroTargetRunsEveryRoundAndPolishes) {
+  const GeantScenario scenario = make_geant_scenario();
+  const PlacementProblem problem = make_problem(scenario, {});
+  const Partition partition = partition_bfs(problem, 4);
+  ApproxOptions options;
+  options.polish.gap_tolerance = 0.0;
+  const ApproxResult full = solve_approx(problem, partition, options);
+  EXPECT_EQ(full.rounds, options.rounds);
+  EXPECT_GT(full.solution.iterations, 0);
+  EXPECT_NE(full.solution.status, opt::SolveStatus::kCertified);
+  // Stopping at the default target never costs more rounds or polish.
+  const ApproxResult stopped = solve_approx(problem, partition);
+  EXPECT_LE(stopped.rounds, full.rounds);
+  EXPECT_LE(stopped.solution.iterations, full.solution.iterations);
+  EXPECT_LE(stopped.certificate.relative_gap, 0.01);
+  EXPECT_LE(full.certificate.relative_gap, stopped.certificate.relative_gap);
 }
 
 TEST(ApproxTier, CertificateAtTheExactOptimumIsTight) {

@@ -56,7 +56,9 @@ TEST(ScaleSmoke, ApproxTierCertifiesWithinOnePercent) {
 
   EXPECT_LE(result.certificate.relative_gap, 0.01)
       << "certified gap above the tier's 1% target";
-  EXPECT_EQ(result.solution.tier, SolveTier::kApprox);
+  EXPECT_EQ(result.solution.certified_gap, result.certificate.gap);
+  EXPECT_EQ(result.solution.certified_upper_bound,
+            result.certificate.upper_bound);
   EXPECT_GT(result.solution.active_monitors.size(), 0u);
   // Feasibility of the stitched + polished placement.
   EXPECT_NEAR(result.solution.budget_used, problem.theta(),

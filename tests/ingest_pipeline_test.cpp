@@ -168,7 +168,7 @@ TEST(IngestPipeline, DeterministicAcrossThreadCounts) {
   const RunOutcome skewed_base =
       run_pipeline(skewed, skewed_traffic, {.pool_threads = 1});
   for (const unsigned producers : {1u, 2u, 3u, 4u}) {
-    for (const unsigned shards : {1u, 2u}) {
+    for (const unsigned shards : {1u, 2u, 3u}) {
       const RunOutcome r = run_pipeline(
           skewed, skewed_traffic,
           {.producers = producers, .pool_threads = shards});

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 
+#include "core/problem.hpp"
+#include "core/scenario.hpp"
 #include "core/utility.hpp"
+#include "helpers.hpp"
 #include "obs/export.hpp"
 #include "opt/gradient_projection.hpp"
 
@@ -111,9 +115,97 @@ TEST(SolverTrace, JsonlHasOneObjectPerRecordWithTheSchemaKeys) {
        {"\"solve\":", "\"iter\":", "\"final\":", "\"fused\":", "\"status\":",
         "\"value\":", "\"grad_inf\":", "\"proj_grad_norm\":", "\"step\":",
         "\"active_set\":", "\"restriction_terms\":", "\"kkt_lambda\":",
-        "\"kkt_residual\":"}) {
+        "\"kkt_residual\":", "\"kind\":"}) {
     EXPECT_NE(jsonl.find(key), std::string::npos) << key;
   }
+}
+
+/// Records of the one traced solve in `trace`, checked for the kinds
+/// every solve shares: one record per iteration, numbered in order, the
+/// summary last, and KKT numbers exactly on the KKT-check kinds.
+std::vector<obs::TraceRecord> checked_records(const obs::SolverTrace& trace,
+                                              const SolveResult& result) {
+  std::vector<obs::TraceRecord> records = trace.snapshot();
+  EXPECT_EQ(records.size(), static_cast<std::size_t>(result.iterations) + 1);
+  if (records.empty()) return records;
+  EXPECT_EQ(records.back().kind, obs::StepKind::kSummary);
+  EXPECT_TRUE(records.back().final_record);
+  for (std::size_t i = 0; i + 1 < records.size(); ++i) {
+    const obs::TraceRecord& r = records[i];
+    EXPECT_EQ(r.iteration, i + 1);
+    EXPECT_NE(r.kind, obs::StepKind::kSummary) << "iteration " << i + 1;
+    const bool kkt_check =
+        r.kind == obs::StepKind::kRelease || r.kind == obs::StepKind::kOptimal;
+    EXPECT_EQ(std::isnan(r.kkt_residual), !kkt_check) << "iteration " << i + 1;
+    if (r.kind == obs::StepKind::kArc) {
+      EXPECT_GT(r.step, 0.0);
+    }
+  }
+  return records;
+}
+
+std::size_t count_kind(const std::vector<obs::TraceRecord>& records,
+                       obs::StepKind kind) {
+  return static_cast<std::size_t>(
+      std::count_if(records.begin(), records.end(),
+                    [kind](const obs::TraceRecord& r) { return r.kind == kind; }));
+}
+
+TEST(SolverTrace, StepKindsCoverFaceArcAndTheKktStop) {
+  // Most coordinates of this instance end at 0 from an all-positive
+  // start: the solve takes arc steps as well as face steps.
+  const test::SparseOptimum inst = test::sparse_optimum_instance(400, 5);
+  obs::SolverTrace trace(8192);
+  SolverOptions options;
+  options.trace = &trace;
+  const SolveResult result =
+      maximize(inst.objective, inst.constraints, options);
+  ASSERT_EQ(result.status, SolveStatus::kOptimal);
+
+  const std::vector<obs::TraceRecord> records = checked_records(trace, result);
+  EXPECT_GT(count_kind(records, obs::StepKind::kFace), 0u);
+  EXPECT_GT(count_kind(records, obs::StepKind::kArc), 0u);
+  EXPECT_EQ(count_kind(records, obs::StepKind::kOptimal), 1u);
+  EXPECT_EQ(records[records.size() - 2].kind, obs::StepKind::kOptimal);
+  EXPECT_EQ(count_kind(records, obs::StepKind::kRelease),
+            static_cast<std::size_t>(result.release_events));
+  EXPECT_EQ(count_kind(records, obs::StepKind::kCertified), 0u);
+}
+
+TEST(SolverTrace, ReleaseRecordsCountTheReleaseEvents) {
+  const core::GeantScenario scenario = core::make_geant_scenario();
+  const core::PlacementProblem problem = core::make_problem(scenario, {});
+  obs::SolverTrace trace(8192);
+  SolverOptions options;
+  options.trace = &trace;
+  const SolveResult result =
+      maximize(problem.objective(), problem.constraints(), options);
+  ASSERT_EQ(result.status, SolveStatus::kOptimal);
+  ASSERT_GT(result.release_events, 0);
+
+  const std::vector<obs::TraceRecord> records = checked_records(trace, result);
+  EXPECT_EQ(count_kind(records, obs::StepKind::kRelease),
+            static_cast<std::size_t>(result.release_events));
+  EXPECT_EQ(records[records.size() - 2].kind, obs::StepKind::kOptimal);
+}
+
+TEST(SolverTrace, GapStopEndsOnOneCertifiedRecord) {
+  const test::SparseOptimum inst = test::sparse_optimum_instance(400, 5);
+  obs::SolverTrace trace(8192);
+  SolverOptions options;
+  options.trace = &trace;
+  options.gap_tolerance = 1e-3;
+  const SolveResult result =
+      maximize(inst.objective, inst.constraints, options);
+  ASSERT_EQ(result.status, SolveStatus::kCertified);
+  EXPECT_LE(result.certificate.relative_gap, options.gap_tolerance);
+
+  const std::vector<obs::TraceRecord> records = checked_records(trace, result);
+  EXPECT_EQ(count_kind(records, obs::StepKind::kCertified), 1u);
+  EXPECT_EQ(records[records.size() - 2].kind, obs::StepKind::kCertified);
+  EXPECT_EQ(static_cast<SolveStatus>(records.back().status),
+            SolveStatus::kCertified);
+  EXPECT_NE(trace.jsonl().find("\"kind\":\"certified\""), std::string::npos);
 }
 
 TEST(SolverCounters, CountSolvesIterationsAndReleases) {

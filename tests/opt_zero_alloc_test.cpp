@@ -377,5 +377,35 @@ TEST(ZeroAlloc, WarmSolveTakingArcStepsAllocatesNothingPerIteration) {
   }
 }
 
+TEST(ZeroAlloc, GapStoppedSolveAllocatesNothingPerIteration) {
+  // Every iteration certifies its iterate (one knapsack fill into the
+  // workspace's item buffer) until the gap stop: the check must not
+  // allocate once the workspace has grown.
+  const test::SparseOptimum inst = test::sparse_optimum_instance(400, 5);
+  for (const bool fused : {true, false}) {
+    SolverOptions options;
+    options.use_fused = fused;
+    options.gap_tolerance = 1e-6;
+    std::size_t first_poll = 0, last_poll = 0;
+    options.should_stop = [&](int iterations) {
+      (iterations == 0 ? first_poll : last_poll) = g_alloc_count;
+      return false;
+    };
+    SolverWorkspace workspace;
+    (void)maximize(inst.objective, inst.constraints, options, nullptr,
+                   &workspace);
+    SolveResult r;
+    const std::size_t allocs = allocations_in([&] {
+      r = maximize(inst.objective, inst.constraints, options, nullptr,
+                   &workspace);
+    });
+    ASSERT_EQ(r.status, SolveStatus::kCertified) << "fused " << fused;
+    ASSERT_GT(r.iterations, 2) << "fused " << fused;
+    EXPECT_EQ(last_poll - first_poll, 0u)
+        << "fused " << fused << ": the gap-checked iteration loop allocates";
+    EXPECT_LE(allocs, 8u) << "fused " << fused;
+  }
+}
+
 }  // namespace
 }  // namespace netmon::opt

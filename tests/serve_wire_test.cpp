@@ -133,6 +133,33 @@ TEST(ServeWire, ResponseRoundTripIsBitExact) {
   expect_equal(decode_response(encode_response(original)), original);
 }
 
+TEST(ServeWire, EverySolveStatusRoundTripsAndUnknownOnesAreRejected) {
+  const auto last = static_cast<std::uint8_t>(opt::kLastSolveStatus);
+  Response response = sample_response();
+  for (std::uint8_t status = 0; status <= last; ++status) {
+    response.solutions[0].status = static_cast<opt::SolveStatus>(status);
+    EXPECT_EQ(decode_response(encode_response(response)).solutions[0].status,
+              response.solutions[0].status)
+        << "status " << int{status};
+  }
+
+  // Frames that differ only in the status differ in exactly its byte.
+  response.solutions[0].status = opt::SolveStatus::kOptimal;
+  const std::vector<std::uint8_t> good = encode_response(response);
+  response.solutions[0].status = opt::kLastSolveStatus;
+  const std::vector<std::uint8_t> other = encode_response(response);
+  ASSERT_EQ(good.size(), other.size());
+  std::vector<std::size_t> differ;
+  for (std::size_t i = 0; i < good.size(); ++i)
+    if (good[i] != other[i]) differ.push_back(i);
+  ASSERT_EQ(differ.size(), 1u);
+  for (const int bad : {last + 1, 0xff}) {
+    std::vector<std::uint8_t> corrupt = good;
+    corrupt[differ[0]] = static_cast<std::uint8_t>(bad);
+    EXPECT_THROW(decode_response(corrupt), Error) << "status byte " << bad;
+  }
+}
+
 TEST(ServeWire, DoublesSurviveBitExactlyIncludingSpecialValues) {
   Request request;
   request.kind = RequestKind::kThetaSweep;
