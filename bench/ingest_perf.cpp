@@ -1,19 +1,16 @@
 // PERF — ingest pipeline throughput. Replays one interval of GEANT-wide
 // synthetic traffic (gravity background + JANET task demands) through
-// the full packet path — per-link sources -> SPSC rings -> per-link
-// samplers -> flow tables — and reports sustained packets/sec for the
-// blocking (lossless) policy, the drop-policy accounting, and the raw
-// ring transfer rate. Emits BENCH_ingest.json rows:
-//   throughput — pkts/sec through the full pipeline (kBlock, best of 3),
-//                drop_rate (must be 0), offered/exported volumes
-//   drop       — same instance under kDrop with a tiny ring: the
-//                offered == consumed + dropped invariant, observed rate
-//   ring       — raw 2-thread SPSC transfer rate, records/sec
+// the full packet path — per-link sources -> per-link samplers -> flow
+// tables, as run-to-completion tasks on the pool — and reports sustained
+// packets/sec. Emits BENCH_ingest.json rows:
+//   throughput — pkts/sec through the full pipeline (best of 3), the
+//                offered and consumed packet counts (must be equal: the
+//                pipeline is lossless), exported volume
 //   replay     — single-thread SyntheticLinkSource replay of the busiest
-//                link, pkts/sec (best of 5): one producer's ceiling
+//                link, pkts/sec (best of 5): one task's ceiling
 // scripts/perf_gate.sh holds throughput to a >= 1M pkts/sec floor (on
-// machines with >= 4 hardware threads), drop_rate to exactly 0, and
-// both throughput rows to a regression band against the baseline.
+// machines with >= 4 hardware threads), offered == consumed exactly,
+// and the throughput row to a regression band against the baseline.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -67,12 +64,8 @@ struct Instance {
     busiest = links.front();
   }
 
-  ingest::IngestStats run(runtime::ThreadPool& pool,
-                          ingest::OverflowPolicy overflow,
-                          std::size_t ring_capacity) {
+  ingest::IngestStats run(runtime::ThreadPool& pool) {
     ingest::IngestOptions options;
-    options.overflow = overflow;
-    options.ring_capacity = ring_capacity;
     options.producers = 2;
     options.expected_flows_per_link = 1 << 14;
     options.collector.bin_sec = 4.0;
@@ -83,27 +76,6 @@ struct Instance {
     return pipeline.run();
   }
 };
-
-/// Raw SPSC transfer rate: one producer, one consumer, batch 256.
-double ring_records_per_sec() {
-  constexpr std::uint64_t kTotal = 1 << 24;
-  ingest::SpscRing<ingest::PacketRecord> ring(1 << 16);
-  StopWatch watch;
-  std::thread producer([&ring] {
-    ingest::PacketRecord batch[256];
-    std::uint64_t sent = 0;
-    while (sent < kTotal) {
-      std::size_t n = 0;
-      while (n == 0) n = ring.try_push(batch, 256);
-      sent += n;
-    }
-  });
-  ingest::PacketRecord out[256];
-  std::uint64_t got = 0;
-  while (got < kTotal) got += ring.pop(out, 256);
-  producer.join();
-  return static_cast<double>(kTotal) / (watch.elapsed_ms() * 1e-3);
-}
 
 /// Single-thread replay rate of one link's source, best of 5.
 double replay_pkts_per_sec(const ingest::SyntheticTraffic& traffic,
@@ -141,31 +113,19 @@ int main() {
   // Lossless throughput: best of 3 (scheduling noise only slows a run).
   ingest::IngestStats best{};
   for (int round = 0; round < 3; ++round) {
-    const ingest::IngestStats stats =
-        instance.run(pool, ingest::OverflowPolicy::kBlock, 1 << 16);
+    const ingest::IngestStats stats = instance.run(pool);
     if (round == 0 || stats.packets_per_sec > best.packets_per_sec)
       best = stats;
   }
+  const bool lossless = best.consumed_packets == best.offered_packets;
   std::printf(
-      "  throughput: %.2fM pkts/sec (drop rate %.4f, %llu sampled, "
+      "  throughput: %.2fM pkts/sec (%s, %llu sampled, "
       "%llu records exported, %.1f ms)\n",
-      best.packets_per_sec * 1e-6, best.drop_rate(),
+      best.packets_per_sec * 1e-6,
+      lossless ? "lossless" : "PACKETS LOST",
       static_cast<unsigned long long>(best.sampled_packets),
       static_cast<unsigned long long>(best.exported_records),
       best.elapsed_sec * 1e3);
-
-  // Drop policy on a deliberately tiny ring: accounting must close.
-  const ingest::IngestStats lossy =
-      instance.run(pool, ingest::OverflowPolicy::kDrop, 1 << 10);
-  const bool accounted =
-      lossy.offered_packets == lossy.consumed_packets + lossy.dropped_packets;
-  std::printf("  drop policy: %.2fM pkts/sec, drop rate %.4f, %s\n",
-              lossy.packets_per_sec * 1e-6, lossy.drop_rate(),
-              accounted ? "accounting closed" : "ACCOUNTING BROKEN");
-
-  const double ring_rate = ring_records_per_sec();
-  std::printf("  raw ring: %.1fM records/sec (2 threads, batch 256)\n",
-              ring_rate * 1e-6);
 
   const double replay_rate =
       replay_pkts_per_sec(instance.traffic, instance.busiest);
@@ -178,18 +138,13 @@ int main() {
   BenchReport report("ingest_perf", threads);
   report.result("throughput")
       .metric("ingest_pkts_per_sec", best.packets_per_sec)
-      .metric("ingest_drop_rate", best.drop_rate())
       .metric("offered_packets", static_cast<double>(best.offered_packets))
+      .metric("consumed_packets", static_cast<double>(best.consumed_packets))
       .metric("exported_records",
               static_cast<double>(best.exported_records))
       .metric("elapsed_ms", best.elapsed_sec * 1e3)
       .metric("hw_threads", static_cast<double>(hw));
-  report.result("drop")
-      .metric("drop_pkts_per_sec", lossy.packets_per_sec)
-      .metric("drop_rate", lossy.drop_rate())
-      .metric("drop_accounting_closed", accounted ? 1.0 : 0.0);
-  report.result("ring").metric("ring_records_per_sec", ring_rate);
   report.result("replay").metric("replay_pkts_per_sec", replay_rate);
   report.emit();
-  return accounted ? 0 : 1;
+  return lossless ? 0 : 1;
 }

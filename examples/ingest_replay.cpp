@@ -4,9 +4,9 @@
 //   1. The control loop solves the JANET task on GEANT and installs
 //      sampling rates (bin 1, loads only).
 //   2. One measurement interval of synthetic traffic is replayed through
-//      the ingest pipeline (sources -> SPSC rings -> per-link samplers
-//      -> flow tables -> collector) under those rates; the X_k / rho_k
-//      estimates feed bin 2.
+//      the ingest pipeline (sources -> per-link samplers -> flow tables
+//      -> collector, as run-to-completion tasks) under those rates; the
+//      X_k / rho_k estimates feed bin 2.
 //   3. The same monitored streams are written out as pcap traces and
 //      replayed back through TraceReader sources — the trace path and
 //      the synthetic path drive the loop with the same estimates.
@@ -40,7 +40,7 @@ std::vector<double> replay_bin(
     ingest::IngestStats* stats_out) {
   ingest::IngestOptions options;
   options.collector.bin_sec = interval_sec;
-  options.producers = 2;
+  options.producers = 2;  // run-to-completion tasks
   options.expected_flows_per_link = 1 << 12;
   ingest::IngestDeps deps;
   deps.metrics = &metrics;
@@ -105,7 +105,9 @@ int main() {
       stats.sources, static_cast<unsigned long long>(stats.offered_packets),
       static_cast<unsigned long long>(stats.sampled_packets),
       static_cast<unsigned long long>(stats.exported_records),
-      stats.drop_rate(), stats.packets_per_sec * 1e-6);
+      static_cast<double>(stats.offered_packets - stats.consumed_packets) /
+          static_cast<double>(stats.offered_packets),
+      stats.packets_per_sec * 1e-6);
 
   control::BinObservation second;
   second.loads = first.loads;

@@ -264,13 +264,12 @@ if [ -s "${DIR}/ingest_metrics.prom" ] || [ -s "${DIR}/ingest_metrics.jsonl" ]; 
   done
 
   for family in netmon_ingest_packets_total netmon_ingest_sampled_total \
-                netmon_ingest_dropped_total netmon_ingest_batches_total \
-                netmon_ingest_exported_records_total; do
+                netmon_ingest_batches_total netmon_ingest_exported_records_total; do
     grep -q "^${family} " "${DIR}/ingest_metrics.prom" \
       && ok "ingest_metrics.prom exports ${family}" \
       || bad "ingest_metrics.prom missing ${family}"
   done
-  for hist in netmon_ingest_ring_occupancy netmon_ingest_consume_batch_ns; do
+  for hist in netmon_ingest_produce_batch_ns netmon_ingest_consume_batch_ns; do
     grep -q "^# TYPE ${hist} histogram$" "${DIR}/ingest_metrics.prom" \
       && ok "ingest_metrics.prom declares histogram ${hist}" \
       || bad "ingest_metrics.prom missing histogram ${hist}"

@@ -51,7 +51,7 @@ core_batch_solver_test sampling_simulation_test serve_service_test \
 serve_stress_test obs_ring_test obs_metrics_test serve_obs_test \
 control_tracker_test control_policy_test control_actuator_test \
 control_loop_test opt_parallel_solve_test core_approx_test \
-core_scale_smoke_test ingest_spsc_ring_test ingest_pipeline_test \
+core_scale_smoke_test ingest_pipeline_test \
 serve_tcp_test tenant_registry_test tenant_cache_test \
 tenant_service_test"
 cmake -B "${PREFIX}-tsan" -S . -DNETMON_SANITIZE=thread

@@ -221,13 +221,9 @@ ApproxResult solve_approx(const PlacementProblem& problem,
     }
   }
 
-  result.solution = evaluate_rates(problem, problem.expand(p));
-  result.solution.status = polished.status;
-  result.solution.iterations = polished.iterations;
-  result.solution.release_events = polished.release_events;
-  result.solution.lambda = polished.lambda;
-  result.solution.certified_gap = result.certificate.gap;
-  result.solution.certified_upper_bound = result.certificate.upper_bound;
+  polished.p = std::move(p);
+  polished.certificate = result.certificate;
+  result.solution = solution_from(problem, polished);
   return result;
 }
 

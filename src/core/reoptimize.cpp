@@ -17,15 +17,9 @@ PlacementSolution resolve_warm(const PlacementProblem& problem,
                                const opt::SolverOptions& options,
                                opt::SolverWorkspace* workspace) {
   const std::vector<double> start = warm_start_point(problem, previous);
-  const opt::SolveResult raw = opt::maximize(
-      problem.objective(), problem.constraints(), options, &start, workspace);
-  PlacementSolution solution =
-      evaluate_rates(problem, problem.expand(raw.p));
-  solution.status = raw.status;
-  solution.iterations = raw.iterations;
-  solution.release_events = raw.release_events;
-  solution.lambda = raw.lambda;
-  return solution;
+  return solution_from(
+      problem, opt::maximize(problem.objective(), problem.constraints(),
+                             options, &start, workspace));
 }
 
 std::vector<PlacementSolution> resolve_warm_batch(

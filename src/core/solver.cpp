@@ -46,11 +46,8 @@ PlacementSolution report(const PlacementProblem& problem,
 
 }  // namespace
 
-PlacementSolution solve_placement(const PlacementProblem& problem,
-                                  const opt::SolverOptions& options,
-                                  opt::SolverWorkspace* workspace) {
-  const opt::SolveResult raw = opt::maximize(
-      problem.objective(), problem.constraints(), options, nullptr, workspace);
+PlacementSolution solution_from(const PlacementProblem& problem,
+                                const opt::SolveResult& raw) {
   PlacementSolution solution = report(problem, problem.expand(raw.p));
   solution.status = raw.status;
   solution.iterations = raw.iterations;
@@ -59,6 +56,14 @@ PlacementSolution solve_placement(const PlacementProblem& problem,
   solution.certified_gap = raw.certificate.gap;
   solution.certified_upper_bound = raw.certificate.upper_bound;
   return solution;
+}
+
+PlacementSolution solve_placement(const PlacementProblem& problem,
+                                  const opt::SolverOptions& options,
+                                  opt::SolverWorkspace* workspace) {
+  return solution_from(
+      problem, opt::maximize(problem.objective(), problem.constraints(),
+                             options, nullptr, workspace));
 }
 
 PlacementSolution evaluate_rates(const PlacementProblem& problem,

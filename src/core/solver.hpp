@@ -61,6 +61,13 @@ PlacementSolution solve_placement(const PlacementProblem& problem,
                                   const opt::SolverOptions& options = {},
                                   opt::SolverWorkspace* workspace = nullptr);
 
+/// The report for a solver result over the problem's candidates: the
+/// expanded rates, their per-OD report, the solver diagnostics and the
+/// certificate. Every solve path (cold, warm, approximation tier)
+/// builds its answer here.
+PlacementSolution solution_from(const PlacementProblem& problem,
+                                const opt::SolveResult& raw);
+
 /// Builds the same report for an externally chosen rate vector (naive
 /// strategies, hand-configured monitors). Rates on non-candidate links
 /// are ignored for utility purposes but still counted in budget_used.

@@ -2,9 +2,9 @@
 // monitored link, reduced to exactly what the sampling + flow-cache
 // stages consume (5-tuple, wire size, timestamp, FIN flag).
 //
-// PacketRecord is trivially copyable by design — records travel through
-// lock-free SPSC rings (ingest/spsc_ring.hpp) as raw memcpy'd slots, and
-// a pcap trace (ingest/trace.hpp) round-trips through the same struct.
+// PacketRecord is trivially copyable by design — sources write batches
+// of them into the pipeline's task-local buffer as raw values, and a
+// pcap trace (ingest/trace.hpp) round-trips through the same struct.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +33,6 @@ struct PacketRecord {
 };
 
 static_assert(std::is_trivially_copyable_v<PacketRecord>,
-              "PacketRecord crosses SPSC rings as raw bytes");
+              "PacketRecord batches are copied as raw bytes");
 
 }  // namespace netmon::ingest

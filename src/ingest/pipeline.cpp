@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <thread>
 
 #include "sampling/effective_rate.hpp"
@@ -20,20 +19,19 @@ std::vector<double> pow2_bounds(double lo, double hi) {
 }
 
 /// Largest-first (LPT) assignment: sources in descending `sizes` order,
-/// ties by index, each to the least-loaded worker (producer or consumer
-/// shard), ties by worker index. An unknown size (0) weighs one packet,
-/// so unknowns still spread round-robin. Returns the source indices each
-/// worker owns.
+/// ties by index, each to the least-loaded task, ties by task index. An
+/// unknown size (0) weighs one packet, so unknowns still spread
+/// round-robin. Returns the source indices each task owns.
 std::vector<std::vector<std::size_t>> assign_largest_first(
-    const std::vector<std::uint64_t>& sizes, unsigned workers) {
+    const std::vector<std::uint64_t>& sizes, unsigned tasks) {
   std::vector<std::size_t> order(sizes.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
                      return sizes[a] > sizes[b];
                    });
-  std::vector<std::vector<std::size_t>> owned(workers);
-  std::vector<std::uint64_t> load(workers, 0);
+  std::vector<std::vector<std::size_t>> owned(tasks);
+  std::vector<std::uint64_t> load(tasks, 0);
   for (const std::size_t i : order) {
     const auto p = static_cast<std::size_t>(
         std::min_element(load.begin(), load.end()) - load.begin());
@@ -43,18 +41,18 @@ std::vector<std::vector<std::size_t>> assign_largest_first(
   return owned;
 }
 
+/// Packets moved per next_batch call.
+constexpr std::size_t kBatch = 256;
+
 }  // namespace
 
-/// Everything keyed by one source (== one monitored-link stream). The
-/// producer side touches source/ring-push/produced; the consumer side
-/// touches ring-pop/sampler/table/exported/consumed — never both, so no
-/// field needs locking.
+/// Everything keyed by one source (== one monitored-link stream). Only
+/// the task that owns the source touches it, so no field needs locking.
 struct IngestPipeline::SourceState {
   explicit SourceState(sampling::LinkSampler link_sampler)
       : sampler(std::move(link_sampler)) {}
 
   std::unique_ptr<PacketSource> source;
-  std::unique_ptr<SpscRing<PacketRecord>> ring;
   sampling::LinkSampler sampler;
   std::unique_ptr<netflow::FlowTable> table;
   std::vector<netflow::FlowRecord> exported;
@@ -73,22 +71,16 @@ IngestPipeline::IngestPipeline(const sampling::RateVector& rates,
       options_(options),
       deps_(deps),
       collector_(egress, options.collector) {
-  NETMON_REQUIRE(options_.batch > 0, "batch size must be positive");
   if (deps_.metrics != nullptr) {
     obs::MetricsRegistry& m = *deps_.metrics;
     packets_total_ = m.counter("netmon_ingest_packets_total",
                                "packets emitted by all sources");
     sampled_total_ = m.counter("netmon_ingest_sampled_total",
                                "packets sampled into flow tables");
-    dropped_total_ = m.counter("netmon_ingest_dropped_total",
-                               "packets dropped on ring overflow");
     batches_total_ = m.counter("netmon_ingest_batches_total",
-                               "consumer batches processed");
+                               "batches sampled and folded");
     exported_total_ = m.counter("netmon_ingest_exported_records_total",
                                 "flow records exported to the collector");
-    ring_occupancy_ =
-        m.histogram("netmon_ingest_ring_occupancy",
-                    pow2_bounds(1.0, 65536.0), "ring depth after a push");
     produce_batch_ns_ =
         m.histogram("netmon_ingest_produce_batch_ns",
                     pow2_bounds(256.0, 16777216.0),
@@ -96,7 +88,7 @@ IngestPipeline::IngestPipeline(const sampling::RateVector& rates,
     consume_batch_ns_ =
         m.histogram("netmon_ingest_consume_batch_ns",
                     pow2_bounds(256.0, 16777216.0),
-                    "sample+fold latency per consumed batch");
+                    "sample+fold latency per batch");
     packets_per_sec_ = m.gauge("netmon_ingest_pkts_per_sec",
                                "sustained ingest throughput of the run");
   }
@@ -117,8 +109,6 @@ void IngestPipeline::add_source(std::unique_ptr<PacketSource> source) {
   state->link = link;
   state->rate = rates_[link];
   state->source = std::move(source);
-  state->ring = std::make_unique<SpscRing<PacketRecord>>(
-      ring_capacity_from_env(options_.ring_capacity));
   SourceState* raw = state.get();
   state->table = std::make_unique<netflow::FlowTable>(
       link, options_.flow_table,
@@ -135,71 +125,6 @@ void IngestPipeline::add_source(std::unique_ptr<PacketSource> source) {
 void IngestPipeline::add_sources(
     std::vector<std::unique_ptr<PacketSource>> sources) {
   for (auto& source : sources) add_source(std::move(source));
-}
-
-void IngestPipeline::producer_loop(const std::vector<std::size_t>& owned) {
-  const obs::Clock* clock = deps_.clock;
-  // Each owned source stages one batch: next_batch writes straight into
-  // `staged`, and the ring takes [off, len) of it, over several passes
-  // when the ring is full.
-  struct Slot {
-    SourceState* state = nullptr;
-    std::vector<PacketRecord> staged;
-    std::size_t len = 0;
-    std::size_t off = 0;
-  };
-  std::vector<Slot> slots(owned.size());
-  for (std::size_t i = 0; i < owned.size(); ++i) {
-    slots[i].state = sources_[owned[i]].get();
-    slots[i].staged.resize(options_.batch);
-  }
-
-  for (;;) {
-    bool progress = false;
-    bool done = true;
-    for (Slot& slot : slots) {
-      SourceState& s = *slot.state;
-      // Refill the slot's staging batch from the source.
-      if (slot.off == slot.len && !s.source->exhausted()) {
-        const auto t0 = (produce_batch_ns_ && clock != nullptr)
-                            ? clock->now()
-                            : obs::TimePoint{};
-        const std::size_t n =
-            s.source->next_batch(slot.staged.data(), options_.batch);
-        if (produce_batch_ns_ && clock != nullptr)
-          produce_batch_ns_.observe(static_cast<double>(
-              obs::to_ns(clock->now()) - obs::to_ns(t0)));
-        if (n > 0) {
-          slot.len = n;
-          slot.off = 0;
-          s.produced += n;
-          packets_total_.inc(n);
-          progress = true;
-        }
-      }
-      // Move staged records into the ring under the overflow policy.
-      if (slot.off < slot.len) {
-        const std::size_t want = slot.len - slot.off;
-        std::size_t moved;
-        if (options_.overflow == OverflowPolicy::kDrop) {
-          moved = s.ring->push_or_drop(slot.staged.data() + slot.off, want);
-          slot.off = slot.len;  // overflow is gone, counted
-        } else {
-          moved = s.ring->try_push(slot.staged.data() + slot.off, want);
-          slot.off += moved;
-        }
-        if (moved > 0) {
-          progress = true;
-          if (ring_occupancy_)
-            ring_occupancy_.observe(static_cast<double>(s.ring->size()));
-        }
-      }
-      if (!(s.source->exhausted() && slot.off == slot.len)) done = false;
-    }
-    if (done) break;
-    if (!progress) std::this_thread::yield();
-  }
-  producers_running_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void IngestPipeline::process_batch(SourceState& state,
@@ -228,31 +153,42 @@ void IngestPipeline::process_batch(SourceState& state,
         static_cast<double>(obs::to_ns(clock->now()) - obs::to_ns(t0)));
 }
 
-void IngestPipeline::consumer_loop(const std::vector<std::size_t>& sources) {
-  std::vector<PacketRecord> buffer(options_.batch);
-  std::vector<SourceState*> owned;
-  for (const std::size_t i : sources) owned.push_back(sources_[i].get());
+void IngestPipeline::run_task(const std::vector<std::size_t>& owned) {
+  const obs::Clock* clock = deps_.clock;
+  PacketRecord batch[kBatch];
+  std::vector<SourceState*> pending;
+  for (const std::size_t i : owned) pending.push_back(sources_[i].get());
 
-  for (;;) {
-    // Read the producer count BEFORE scanning the rings: every push
-    // happens-before the final decrement, so "no producers left" plus a
-    // subsequent empty scan means the rings are drained for good.
-    const bool producers_done =
-        producers_running_.load(std::memory_order_acquire) == 0;
+  // Drain each source until it is exhausted or, when paced, has nothing
+  // due; a paced source is revisited after the task's other sources.
+  while (!pending.empty()) {
     bool progress = false;
-    for (SourceState* state : owned) {
-      const std::size_t n =
-          state->ring->pop(buffer.data(), options_.batch);
-      if (n == 0) continue;
-      progress = true;
-      process_batch(*state, buffer.data(), n);
+    for (auto it = pending.begin(); it != pending.end();) {
+      SourceState& s = **it;
+      while (!s.source->exhausted()) {
+        const auto t0 = (produce_batch_ns_ && clock != nullptr)
+                            ? clock->now()
+                            : obs::TimePoint{};
+        const std::size_t n = s.source->next_batch(batch, kBatch);
+        if (produce_batch_ns_ && clock != nullptr)
+          produce_batch_ns_.observe(static_cast<double>(
+              obs::to_ns(clock->now()) - obs::to_ns(t0)));
+        if (n == 0) break;
+        s.produced += n;
+        packets_total_.inc(n);
+        process_batch(s, batch, n);
+        progress = true;
+      }
+      if (s.source->exhausted()) {
+        // End of stream: expire and export everything still cached.
+        s.table->flush(s.last_ts);
+        it = pending.erase(it);
+      } else {
+        ++it;
+      }
     }
-    if (progress) continue;
-    if (producers_done) break;
-    std::this_thread::yield();
+    if (!progress && !pending.empty()) std::this_thread::yield();
   }
-  // End of stream: expire and export everything still cached.
-  for (SourceState* state : owned) state->table->flush(state->last_ts);
 }
 
 IngestStats IngestPipeline::run() {
@@ -266,47 +202,21 @@ IngestStats IngestPipeline::run() {
   stats_.sources = sources_.size();
   if (!sources_.empty()) {
     const auto n = static_cast<unsigned>(sources_.size());
-    const unsigned producers = std::clamp(options_.producers, 1u, n);
-    unsigned shards = 1;
-    if (deps_.pool != nullptr) {
-      const unsigned want =
-          options_.consumers != 0 ? options_.consumers : deps_.pool->size();
-      shards = std::clamp(want, 1u, std::min(deps_.pool->size(), n));
-    }
-    stats_.producer_threads = producers;
-    stats_.consumer_shards = shards;
+    const unsigned tasks = std::clamp(options_.producers, 1u, n);
+    stats_.tasks = tasks;
     std::vector<std::uint64_t> sizes(sources_.size());
     for (std::size_t i = 0; i < sources_.size(); ++i)
       sizes[i] = sources_[i]->source->expected_packets();
-    // Producers and consumer shards both take sources largest-first, so
-    // the busiest link has a producer and a shard of its own.
     const std::vector<std::vector<std::size_t>> owned =
-        assign_largest_first(sizes, producers);
-    const std::vector<std::vector<std::size_t>> consumed =
-        assign_largest_first(sizes, shards);
-    producers_running_.store(producers, std::memory_order_release);
-
+        assign_largest_first(sizes, tasks);
     if (deps_.pool != nullptr) {
-      // Consumers first (pool), then producers (dedicated threads, as a
-      // capture NIC would be); the caller helps drain via wait().
+      // The caller helps run the tasks via wait().
       runtime::TaskGroup group(*deps_.pool);
-      for (unsigned c = 0; c < shards; ++c)
-        group.run([this, &consumed, c] { consumer_loop(consumed[c]); });
-      std::vector<std::thread> threads;
-      threads.reserve(producers);
-      for (unsigned p = 0; p < producers; ++p)
-        threads.emplace_back([this, &owned, p] { producer_loop(owned[p]); });
-      for (std::thread& t : threads) t.join();
+      for (unsigned t = 0; t < tasks; ++t)
+        group.run([this, &owned, t] { run_task(owned[t]); });
       group.wait();
     } else {
-      // Inline mode: no threads at all — producers and the single
-      // consumer shard interleave on the caller (rings still in path).
-      std::vector<std::thread> threads;
-      threads.reserve(producers);
-      for (unsigned p = 0; p < producers; ++p)
-        threads.emplace_back([this, &owned, p] { producer_loop(owned[p]); });
-      consumer_loop(consumed[0]);
-      for (std::thread& t : threads) t.join();
+      for (const std::vector<std::size_t>& sources : owned) run_task(sources);
     }
   }
 
@@ -319,10 +229,8 @@ IngestStats IngestPipeline::run() {
     stats_.offered_packets += state->produced;
     stats_.consumed_packets += state->consumed;
     stats_.sampled_packets += state->sampled;
-    stats_.dropped_packets += state->ring->dropped();
   }
   exported_total_.inc(stats_.exported_records);
-  dropped_total_.inc(stats_.dropped_packets);
 
   stats_.elapsed_sec =
       std::chrono::duration<double>(clock.now() - t0).count();

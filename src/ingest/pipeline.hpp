@@ -1,37 +1,29 @@
-// IngestPipeline: packet sources -> SPSC rings -> sampled per-link flow
-// tables -> exporter/collector, on the runtime pool.
+// IngestPipeline: packet sources -> sampled per-link flow tables ->
+// exporter/collector, as run-to-completion tasks on the runtime pool.
 //
 //   PacketSource (per link: synthetic replay or pcap trace)
-//        |          producer threads; sources go largest-first
-//        |          (expected_packets) to the least-loaded producer,
-//        v          one producer per source, so each ring stays SPSC
-//   SpscRing<PacketRecord>   (one per source; NETMON_INGEST_RING slots;
-//        |                    overflow policy: block = backpressure,
-//        v                    drop = counted in dropped_packets)
-//   consumer shards on runtime::ThreadPool — each shard owns a disjoint
-//   set of sources, assigned largest-first like the producers', and,
-//   per packet: monotonic-clamps the timestamp,
-//   applies the configured sampling:: policy (per-link sampler seeded
-//   via Rng::substream(link id)), and folds sampled packets into that
-//   link's netflow::FlowTable, whose idle/active/FIN expiries export
-//   records into a per-source buffer
+//        |          sources go largest-first (expected_packets) to the
+//        |          least-loaded of IngestOptions::producers tasks; each
+//        v          task owns its sources outright
+//   one task per source set, on runtime::ThreadPool (or the caller):
+//   next_batch into a task-local 256-record buffer, then, per packet,
+//   monotonic-clamp the timestamp, apply the configured sampling::
+//   policy (per-link sampler seeded via Rng::substream(link id)), and
+//   fold sampled packets into that link's netflow::FlowTable, whose
+//   idle/active/FIN expiries export records into a per-source buffer;
+//   an exhausted source's table is flushed at once
 //        |
 //        v
 //   netflow::Collector (5-minute bins, OD attribution via EgressMap)
 //        -> od_rate_estimates() -> control::BinObservation::od_rates
 //
 // Determinism: all per-packet state (sampler stream, flow table, export
-// buffer) is keyed by the source, never by the worker, and the collector
+// buffer) is keyed by the source, never by the task, and the collector
 // aggregation is commutative sums — so for a fixed seed the final
-// estimates are identical across runs, producer partitions, and
-// consumer thread counts. (Under the kDrop policy the *drop pattern* is
-// timing-dependent; use kBlock when bit-reproducibility matters.)
-//
-// The pipeline assumes a dedicated (otherwise idle) pool: under the
-// blocking overflow policy every consumer shard must eventually get a
-// worker (shard count is clamped to the pool size; the calling thread
-// helps via TaskGroup), which unrelated long-running pool tasks could
-// prevent.
+// estimates are identical across runs, task counts and pool sizes. The
+// pipeline is lossless: every packet a source emits is sampled or not,
+// never dropped. Tasks never wait on each other, so the pool may be
+// shared with other work.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +31,6 @@
 #include <vector>
 
 #include "ingest/source.hpp"
-#include "ingest/spsc_ring.hpp"
 #include "netflow/collector.hpp"
 #include "netflow/flow_table.hpp"
 #include "obs/clock.hpp"
@@ -50,34 +41,16 @@
 
 namespace netmon::ingest {
 
-/// What a producer does when a ring is full.
-enum class OverflowPolicy : std::uint8_t {
-  /// Retry until the consumer drains (backpressure; deterministic).
-  kBlock,
-  /// Drop the overflow and count it (a capture NIC's behavior).
-  kDrop,
-};
-
 /// Pipeline configuration.
 struct IngestOptions {
   netflow::FlowTableOptions flow_table;
   netflow::CollectorOptions collector;
   /// Per-link sampler policy (Bernoulli = the paper's i.i.d. model).
   sampling::SamplerKind sampler = sampling::SamplerKind::kBernoulli;
-  OverflowPolicy overflow = OverflowPolicy::kBlock;
-  /// Ring slots per source; 0 = NETMON_INGEST_RING env or 8192. Rounded
-  /// up to a power of two.
-  std::size_t ring_capacity = 0;
-  /// Records moved per ring synchronization point.
-  std::size_t batch = 256;
-  /// Producer threads (clamped to the source count). Sources go
-  /// largest-first by expected_packets() to the least-loaded producer,
-  /// so the busiest link gets a producer of its own.
+  /// Run-to-completion tasks (clamped to [1, source count]). Sources go
+  /// largest-first by expected_packets() to the least-loaded task, so
+  /// the busiest link gets a task of its own.
   unsigned producers = 2;
-  /// Consumer shards; 0 = one per pool worker. Clamped to
-  /// [1, min(pool size, source count)]. Sources go to shards
-  /// largest-first, as to producers.
-  unsigned consumers = 0;
   /// Root seed: link samplers draw substream(link id) from it.
   std::uint64_t seed = 42;
   /// Pre-size each link's flow table and export buffer for this many
@@ -91,8 +64,8 @@ struct IngestDeps {
   obs::MetricsRegistry* metrics = nullptr;
   /// Wall-time source for the throughput stats; null = steady clock.
   const obs::Clock* clock = nullptr;
-  /// Consumer-shard pool; null = consume inline on the caller after the
-  /// producers finish (single-shard, still correct, no parallelism).
+  /// Pool the tasks run on; null = run them one after another on the
+  /// caller (still correct, no parallelism).
   runtime::ThreadPool* pool = nullptr;
 };
 
@@ -100,27 +73,20 @@ struct IngestDeps {
 struct IngestStats {
   /// Packets emitted by the sources.
   std::uint64_t offered_packets = 0;
-  /// Packets that reached a consumer (offered - dropped).
+  /// Packets that reached a sampler; equals offered_packets.
   std::uint64_t consumed_packets = 0;
   /// Packets the configured policy sampled into flow tables.
   std::uint64_t sampled_packets = 0;
-  /// Ring overflow under OverflowPolicy::kDrop.
+  /// Always 0: the pipeline is lossless.
   std::uint64_t dropped_packets = 0;
   /// Flow records exported into the collector.
   std::uint64_t exported_records = 0;
   std::size_t sources = 0;
-  unsigned producer_threads = 0;
-  unsigned consumer_shards = 0;
+  /// Run-to-completion tasks the sources were split into.
+  unsigned tasks = 0;
   double elapsed_sec = 0.0;
   /// consumed_packets / elapsed_sec (0 when the clock stood still).
   double packets_per_sec = 0.0;
-
-  double drop_rate() const noexcept {
-    return offered_packets != 0
-               ? static_cast<double>(dropped_packets) /
-                     static_cast<double>(offered_packets)
-               : 0.0;
-  }
 };
 
 /// The pipeline. Construct, add sources (one per monitored link), run.
@@ -150,8 +116,7 @@ class IngestPipeline {
  private:
   struct SourceState;
 
-  void producer_loop(const std::vector<std::size_t>& owned);
-  void consumer_loop(const std::vector<std::size_t>& sources);
+  void run_task(const std::vector<std::size_t>& owned);
   void process_batch(SourceState& state, const PacketRecord* records,
                      std::size_t count);
 
@@ -160,17 +125,14 @@ class IngestPipeline {
   IngestDeps deps_;
   netflow::Collector collector_;
   std::vector<std::unique_ptr<SourceState>> sources_;
-  std::atomic<unsigned> producers_running_{0};
   bool ran_ = false;
   IngestStats stats_;
 
   // Metrics handles (detached no-ops without a registry).
   obs::Counter packets_total_;
   obs::Counter sampled_total_;
-  obs::Counter dropped_total_;
   obs::Counter batches_total_;
   obs::Counter exported_total_;
-  obs::Histogram ring_occupancy_;
   obs::Histogram produce_batch_ns_;
   obs::Histogram consume_batch_ns_;
   obs::Gauge packets_per_sec_;

@@ -8,14 +8,14 @@
 // SyntheticLinkSource then replays a link's schedule as PacketRecord
 // batches from a calendar queue (Brown, CACM 1988) — O(1) amortized per
 // packet and allocation-free after the first batch, which is what lets
-// one producer replay a link of a few hundred thousand packets in a few
-// milliseconds.
+// one pipeline task replay a link of a few hundred thousand packets in a
+// few milliseconds.
 //
 // Determinism: the flow populations are a pure function of (seed,
 // traffic matrix) — generate_all_flows derives one Rng stream per OD —
 // and each link's schedule replays in a fixed order, so the packet
-// stream a link's monitor sees is identical across runs, producer
-// partitions, and consumer thread counts. Fractional (ECMP) routing
+// stream a link's monitor sees is identical across runs, task counts
+// and pool sizes. Fractional (ECMP) routing
 // entries are resolved per (flow, link) by hashing the flow key: a flow
 // either crosses a link or it does not, reproducibly.
 #pragma once
@@ -62,8 +62,8 @@ struct PacketSpan {
 /// spans due there. bucket_of is monotone in the timestamp, so a later
 /// bucket only ever holds strictly later packets and the output order
 /// is exact. Storage, O(spans + buckets), is reserved at construction
-/// and filled by the first next_batch (on the producer's thread); replay
-/// allocates nothing. `spans` is borrowed.
+/// and filled by the first next_batch (on the calling task's thread);
+/// replay allocates nothing. `spans` is borrowed.
 class SyntheticLinkSource final : public PacketSource {
  public:
   /// `packets` is the schedule's packet count: it is reported by

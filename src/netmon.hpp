@@ -62,3 +62,4 @@
 #include "traffic/flow_generator.hpp"   // IWYU pragma: export
 #include "traffic/gravity.hpp"   // IWYU pragma: export
 #include "traffic/variation.hpp" // IWYU pragma: export
+#include "util/error.hpp"         // IWYU pragma: export

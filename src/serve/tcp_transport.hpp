@@ -5,7 +5,7 @@
 //   client thread            I/O thread (one per server)   dispatcher
 //   -------------            ---------------------------   ----------
 //   TcpClient::send          epoll wait
-//     encode v2 frame  --->  read -> FrameAssembler
+//     encode frame     --->  read -> FrameAssembler
 //                              -> decode_request
 //                              -> Service::submit ------>  solve batch
 //                            completion queue  <---------  done(Response)

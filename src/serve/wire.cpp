@@ -149,40 +149,20 @@ std::vector<std::uint8_t> frame(std::uint8_t type,
   return out;
 }
 
-struct Unframed {
-  std::span<const std::uint8_t> body;
-  std::uint8_t version = 0;
-};
-
-// Strips and checks the envelope of a complete v2 or legacy v1 frame;
-// returns the body plus which layout carried it.
-Unframed unframe(std::span<const std::uint8_t> bytes,
-                 std::uint8_t expected_type) {
-  NETMON_REQUIRE(!bytes.empty(), "empty frame");
-  if (bytes[0] == kWireMagic0) {
-    // v2: magic | version | type | body length | body.
-    NETMON_REQUIRE(bytes.size() >= kWireHeaderSize,
-                   "frame shorter than its envelope");
-    NETMON_REQUIRE(bytes[1] == kWireMagic1, "bad frame magic");
-    NETMON_REQUIRE(bytes[2] == kWireVersion, "unsupported wire version");
-    NETMON_REQUIRE(bytes[3] == expected_type, "unexpected frame type");
-    Reader prefix(bytes.subspan(4, 4));
-    const std::uint32_t body_len = prefix.u32();
-    NETMON_REQUIRE(bytes.size() == kWireHeaderSize + body_len,
-                   "frame size does not match its length prefix");
-    return {bytes.subspan(kWireHeaderSize), kWireVersion};
-  }
-  // Legacy v1: length prefix | magic | version | type | body.
-  NETMON_REQUIRE(bytes.size() >= 8, "frame shorter than its envelope");
-  Reader prefix(bytes.first(4));
-  const std::uint32_t payload = prefix.u32();
-  NETMON_REQUIRE(bytes.size() == 4 + static_cast<std::size_t>(payload),
-                 "frame size does not match its length prefix");
-  NETMON_REQUIRE(bytes[4] == kWireMagic0 && bytes[5] == kWireMagic1,
+// Strips and checks the envelope of a complete frame; returns the body.
+std::span<const std::uint8_t> unframe(std::span<const std::uint8_t> bytes,
+                                      std::uint8_t expected_type) {
+  NETMON_REQUIRE(bytes.size() >= kWireHeaderSize,
+                 "frame shorter than its envelope");
+  NETMON_REQUIRE(bytes[0] == kWireMagic0 && bytes[1] == kWireMagic1,
                  "bad frame magic");
-  NETMON_REQUIRE(bytes[6] == kWireLegacyVersion, "unsupported wire version");
-  NETMON_REQUIRE(bytes[7] == expected_type, "unexpected frame type");
-  return {bytes.subspan(8), kWireLegacyVersion};
+  NETMON_REQUIRE(bytes[2] == kWireVersion, "unsupported wire version");
+  NETMON_REQUIRE(bytes[3] == expected_type, "unexpected frame type");
+  Reader prefix(bytes.subspan(4, 4));
+  const std::uint32_t body_len = prefix.u32();
+  NETMON_REQUIRE(bytes.size() == kWireHeaderSize + body_len,
+                 "frame size does not match its length prefix");
+  return bytes.subspan(kWireHeaderSize);
 }
 
 RequestKind decode_kind(std::uint8_t raw) {
@@ -213,6 +193,8 @@ void put_solution(std::vector<std::uint8_t>& out,
   put32(out, static_cast<std::uint32_t>(solution.iterations));
   put32(out, static_cast<std::uint32_t>(solution.release_events));
   put_f64(out, solution.lambda);
+  put_f64(out, solution.certified_gap);
+  put_f64(out, solution.certified_upper_bound);
 }
 
 core::PlacementSolution read_solution(Reader& in) {
@@ -242,6 +224,8 @@ core::PlacementSolution read_solution(Reader& in) {
   solution.iterations = static_cast<int>(in.u32());
   solution.release_events = static_cast<int>(in.u32());
   solution.lambda = in.f64();
+  solution.certified_gap = in.f64();
+  solution.certified_upper_bound = in.f64();
   return solution;
 }
 
@@ -265,12 +249,11 @@ std::vector<std::uint8_t> encode_request(const Request& request) {
 }
 
 Request decode_request(std::span<const std::uint8_t> bytes) {
-  const Unframed frame = unframe(bytes, kWireRequest);
-  Reader in(frame.body);
+  Reader in(unframe(bytes, kWireRequest));
   Request request;
   request.id = in.u64();
   request.kind = decode_kind(in.u8());
-  if (frame.version >= 2) request.tenant = in.string();
+  request.tenant = in.string();
   request.theta = in.f64();
   request.default_alpha = in.f64();
   request.failed = in.ids("corrupt failed-link list");
@@ -320,8 +303,7 @@ std::vector<std::uint8_t> encode_response(const Response& response) {
 }
 
 Response decode_response(std::span<const std::uint8_t> bytes) {
-  const Unframed frame = unframe(bytes, kWireResponse);
-  Reader in(frame.body);
+  Reader in(unframe(bytes, kWireResponse));
   Response response;
   response.id = in.u64();
   response.kind = decode_kind(in.u8());
@@ -330,14 +312,11 @@ Response decode_response(std::span<const std::uint8_t> bytes) {
       status <= static_cast<std::uint8_t>(ResponseStatus::kRejectedQuota),
       "unknown response status");
   response.status = static_cast<ResponseStatus>(status);
-  if (frame.version >= 2) {
-    const std::uint8_t cache = in.u8();
-    NETMON_REQUIRE(
-        cache <= static_cast<std::uint8_t>(CacheOutcome::kWarmStart),
-        "unknown cache outcome");
-    response.cache = static_cast<CacheOutcome>(cache);
-    response.tenant = in.string();
-  }
+  const std::uint8_t cache = in.u8();
+  NETMON_REQUIRE(cache <= static_cast<std::uint8_t>(CacheOutcome::kWarmStart),
+                 "unknown cache outcome");
+  response.cache = static_cast<CacheOutcome>(cache);
+  response.tenant = in.string();
   response.error = in.string();
   const std::uint32_t n_solutions = in.count("corrupt solution count");
   response.solutions.reserve(n_solutions);
@@ -373,37 +352,22 @@ Response decode_response(std::span<const std::uint8_t> bytes) {
 }
 
 std::size_t frame_size(std::span<const std::uint8_t> buffer) {
-  if (buffer.empty()) return 0;
-  if (buffer[0] == kWireMagic0) {
-    // v2: validate the envelope byte-by-byte as it arrives so a corrupt
-    // stream is rejected at the earliest byte that cannot be valid.
-    if (buffer.size() >= 2)
-      NETMON_REQUIRE(buffer[1] == kWireMagic1, "bad frame magic");
-    if (buffer.size() >= 3)
-      NETMON_REQUIRE(buffer[2] == kWireVersion, "unsupported wire version");
-    if (buffer.size() >= 4)
-      NETMON_REQUIRE(
-          buffer[3] == kWireRequest || buffer[3] == kWireResponse,
-          "unexpected frame type");
-    if (buffer.size() < kWireHeaderSize) return 0;
-    Reader prefix(buffer.subspan(4, 4));
-    const std::uint32_t body_len = prefix.u32();
-    NETMON_REQUIRE(body_len <= kWireMaxBody,
-                   "frame length prefix is absurd");
-    return kWireHeaderSize + static_cast<std::size_t>(body_len);
-  }
-  // Legacy v1: the first byte is the high byte of the big-endian length
-  // prefix; the payload cap (~100 MB) keeps it at most 0x06, so any
-  // other non-'N' value cannot start a frame.
-  NETMON_REQUIRE(buffer[0] <= (kWireMaxBody + 4) >> 24,
-                 "bad frame magic");
-  if (buffer.size() < 4) return 0;
-  Reader prefix(buffer.first(4));
-  const std::uint32_t payload = prefix.u32();
-  NETMON_REQUIRE(payload >= 4, "frame payload shorter than its envelope");
-  NETMON_REQUIRE(payload <= 4 + kWireMaxBody,
-                 "frame length prefix is absurd");
-  return 4 + static_cast<std::size_t>(payload);
+  // Validate the envelope byte-by-byte as it arrives so a corrupt stream
+  // is rejected at the earliest byte that cannot be valid.
+  if (buffer.size() >= 1)
+    NETMON_REQUIRE(buffer[0] == kWireMagic0, "bad frame magic");
+  if (buffer.size() >= 2)
+    NETMON_REQUIRE(buffer[1] == kWireMagic1, "bad frame magic");
+  if (buffer.size() >= 3)
+    NETMON_REQUIRE(buffer[2] == kWireVersion, "unsupported wire version");
+  if (buffer.size() >= 4)
+    NETMON_REQUIRE(buffer[3] == kWireRequest || buffer[3] == kWireResponse,
+                   "unexpected frame type");
+  if (buffer.size() < kWireHeaderSize) return 0;
+  Reader prefix(buffer.subspan(4, 4));
+  const std::uint32_t body_len = prefix.u32();
+  NETMON_REQUIRE(body_len <= kWireMaxBody, "frame length prefix is absurd");
+  return kWireHeaderSize + static_cast<std::size_t>(body_len);
 }
 
 }  // namespace netmon::serve

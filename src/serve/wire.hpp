@@ -2,20 +2,18 @@
 //
 // Frames are self-describing byte strings a stream transport (TCP, a
 // pipe, a file of captured queries) can reassemble without parsing
-// bodies. The v2 frame puts the protocol magic FIRST so a TCP peer
+// bodies. The frame puts the protocol magic FIRST so a TCP peer
 // validates who it is talking to before trusting any length field:
 //
-//   'N' 'M' | u8 version (=2) | u8 type (1=request, 2=response)
+//   'N' 'M' | u8 version (=3) | u8 type (1=request, 2=response)
 //   | u32 body length | body
 //
-// v2 bodies carry the tenant routing fields (Request::tenant,
-// Response::tenant / Response::cache). The legacy v1 frame
-// (`u32 length | 'N' 'M' | 1 | type | body`, no tenant fields) is still
-// decoded — captured loopback traffic and old clients keep working —
-// but encoders emit v2 only. The two layouts are unambiguous from the
-// first byte: a v1 frame starts with the big-endian length prefix whose
-// high byte is at most 0x06 (the payload cap is ~100 MB), while v2
-// starts with 'N' = 0x4E.
+// Only the current version decodes. Bodies carry the tenant routing
+// fields (Request::tenant, Response::tenant / Response::cache), and each
+// solution carries its optimality certificate (certified_gap,
+// certified_upper_bound). Earlier layouts are rejected: a v2 frame (no
+// certificate) as an unsupported version, a length-first v1 frame as bad
+// magic.
 //
 // All integers are big-endian (network byte order, same convention as
 // netflow/v5_codec); doubles travel as the big-endian bytes of their
@@ -37,10 +35,8 @@ namespace netmon::serve {
 /// Frame magic + versions.
 inline constexpr std::uint8_t kWireMagic0 = 'N';
 inline constexpr std::uint8_t kWireMagic1 = 'M';
-/// Current (magic-first, tenant-aware) frame layout.
-inline constexpr std::uint8_t kWireVersion = 2;
-/// Legacy length-first layout from the loopback-only era; decode only.
-inline constexpr std::uint8_t kWireLegacyVersion = 1;
+/// Current frame layout: magic-first, tenant-aware, certified solutions.
+inline constexpr std::uint8_t kWireVersion = 3;
 /// Frame type bytes.
 inline constexpr std::uint8_t kWireRequest = 1;
 inline constexpr std::uint8_t kWireResponse = 2;
@@ -52,25 +48,23 @@ inline constexpr std::uint32_t kWireMaxCount = 1u << 22;
 /// a few count-bounded arrays of 24-byte elements. Length prefixes
 /// beyond this are a corrupt stream, not a large frame.
 inline constexpr std::uint64_t kWireMaxBody = 64 + 24ULL * kWireMaxCount;
-/// v2 header size: magic(2) + version(1) + type(1) + body length(4).
+/// Header size: magic(2) + version(1) + type(1) + body length(4).
 inline constexpr std::size_t kWireHeaderSize = 8;
 
-/// Encodes one request/response as a single v2 frame.
+/// Encodes one request/response as a single frame.
 std::vector<std::uint8_t> encode_request(const Request& request);
 std::vector<std::uint8_t> encode_response(const Response& response);
 
-/// Decodes one complete frame (v2 or legacy v1). Throws netmon::Error on
-/// truncation, bad magic/version, wrong frame type, or corrupt field
-/// values. Legacy frames decode with empty tenant / CacheOutcome::kNone.
+/// Decodes one complete frame. Throws netmon::Error on truncation, bad
+/// magic/version, wrong frame type, or corrupt field values.
 Request decode_request(std::span<const std::uint8_t> frame);
 Response decode_response(std::span<const std::uint8_t> frame);
 
 /// Stream reassembly helper: the total size of the frame starting at
-/// `buffer[0]`, or 0 when too few bytes are buffered to tell (v2 needs
-/// its 8-byte header, legacy its 4-byte length prefix). Throws
-/// netmon::Error as soon as the buffered prefix cannot start any valid
-/// frame (bad magic/version, absurd length), so transports fail fast
-/// instead of waiting for 4 GiB.
+/// `buffer[0]`, or 0 when fewer than its 8 header bytes are buffered.
+/// Throws netmon::Error as soon as the buffered prefix cannot start any
+/// valid frame (bad magic/version, absurd length), so transports fail
+/// fast instead of waiting for 4 GiB.
 std::size_t frame_size(std::span<const std::uint8_t> buffer);
 
 }  // namespace netmon::serve

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/scenario.hpp"
 
 namespace netmon::core {
@@ -42,6 +44,28 @@ TEST(WarmStart, FasterAfterSmallPerturbation) {
   EXPECT_NEAR(warm.total_utility, cold.total_utility,
               1e-7 * (1.0 + std::abs(cold.total_utility)));
   EXPECT_LT(warm.iterations, cold.iterations);
+}
+
+TEST(WarmStart, WarmAnswerCarriesItsCertificate) {
+  const GeantScenario s = make_geant_scenario();
+  const PlacementSolution previous = solve_placement(make_problem(s));
+  ProblemOptions options;
+  options.theta = 110000.0;
+  const PlacementProblem perturbed = make_problem(s, options);
+  const PlacementSolution cold = solve_placement(perturbed);
+
+  // To the KKT certificate, and stopped on a certified gap.
+  opt::SolverOptions gap_stop;
+  gap_stop.gap_tolerance = 1e-6;
+  for (const opt::SolverOptions& solver : {opt::SolverOptions{}, gap_stop}) {
+    const PlacementSolution warm =
+        resolve_warm(perturbed, previous.rates, solver);
+    const double scale = 1.0 + std::abs(warm.total_utility);
+    EXPECT_GE(warm.certified_gap, 0.0);
+    EXPECT_NEAR(warm.certified_upper_bound,
+                warm.total_utility + warm.certified_gap, 1e-9 * scale);
+    EXPECT_GE(warm.certified_upper_bound, cold.total_utility - 1e-9 * scale);
+  }
 }
 
 TEST(WarmStart, SurvivesTopologyChange) {

@@ -1,8 +1,8 @@
 // Zero-allocation steady state of the ingest hot path (same
-// counting-allocator idiom as topo_presize_test.cpp): once the ring is
-// built, the synthetic source's calendar storage is reserved, and the
-// flow table has seen every flow once, pushing packets source -> ring ->
-// sampler -> table performs no heap allocations at all.
+// counting-allocator idiom as topo_presize_test.cpp): once the
+// synthetic source's calendar storage is reserved and the flow table has
+// seen every flow once, moving packets source -> sampler -> table
+// performs no heap allocations at all.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -10,7 +10,6 @@
 #include <new>
 #include <vector>
 
-#include "ingest/spsc_ring.hpp"
 #include "ingest/synthetic.hpp"
 #include "netflow/flow_table.hpp"
 #include "sampling/sampler.hpp"
@@ -54,18 +53,6 @@ std::size_t allocations_in(Fn&& fn) {
   const std::size_t before = g_alloc_count;
   fn();
   return g_alloc_count - before;
-}
-
-TEST(IngestZeroAlloc, RingPushPopAllocatesNothing) {
-  ingest::SpscRing<ingest::PacketRecord> ring(256);
-  ingest::PacketRecord batch[64];
-  const std::size_t allocs = allocations_in([&] {
-    for (int round = 0; round < 1000; ++round) {
-      ring.push_or_drop(batch, 64);
-      ring.pop(batch, 64);
-    }
-  });
-  EXPECT_EQ(allocs, 0u) << "ring moved records through the heap";
 }
 
 TEST(IngestZeroAlloc, SyntheticReplayAllocatesNothingAfterWarmup) {
@@ -123,8 +110,8 @@ TEST(IngestZeroAlloc, ZeroDurationSpanReplayAllocatesNothing) {
 }
 
 TEST(IngestZeroAlloc, HotPathSteadyStateAllocatesNothing) {
-  // Full per-packet path: source batch -> ring -> Bernoulli sampler ->
-  // pre-sized flow table on already-cached flows.
+  // Full per-packet path: source batch -> Bernoulli sampler -> pre-sized
+  // flow table on already-cached flows.
   topo::Graph graph;
   const auto a = graph.add_node("A");
   const auto b = graph.add_node("B");
@@ -139,7 +126,6 @@ TEST(IngestZeroAlloc, HotPathSteadyStateAllocatesNothing) {
   auto source = traffic.source(link);
   ASSERT_NE(source, nullptr);
 
-  ingest::SpscRing<ingest::PacketRecord> ring(1024);
   sampling::LinkSampler sampler(sampling::SamplerKind::kBernoulli, 0.5,
                                 Rng(42).substream(link)());
   // Timeouts beyond the interval: no expiry churn during the run, so
@@ -168,26 +154,19 @@ TEST(IngestZeroAlloc, HotPathSteadyStateAllocatesNothing) {
   }
   ASSERT_GT(table.size(), 0u);
 
-  // Steady state: same flows again (fresh source, same seed), through
-  // the ring, sampled, folded. Suppress FIN so no entry is erased and
-  // re-inserted: every observe() hits an already-cached flow.
-  ingest::PacketRecord in[256], out[256];
+  // Steady state: same flows again (fresh source, same seed), sampled,
+  // folded. Suppress FIN so no entry is erased and re-inserted: every
+  // observe() hits an already-cached flow.
+  ingest::PacketRecord batch[256];
   std::uint64_t observed = 0;
   const std::size_t allocs = allocations_in([&] {
     while (!source->exhausted()) {
-      const std::size_t n = source->next_batch(in, 256);
+      const std::size_t n = source->next_batch(batch, 256);
       if (n == 0) break;
-      std::size_t staged = 0;
-      while (staged < n) staged += ring.try_push(in + staged, n - staged);
-      std::size_t drained = 0;
-      while (drained < n) {
-        const std::size_t got = ring.pop(out, 256);
-        for (std::size_t i = 0; i < got; ++i) {
-          if (!sampler.sample()) continue;
-          table.observe(out[i].key, out[i].bytes, out[i].ts_sec, false);
-          ++observed;
-        }
-        drained += got;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!sampler.sample()) continue;
+        table.observe(batch[i].key, batch[i].bytes, batch[i].ts_sec, false);
+        ++observed;
       }
     }
   });

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <memory>
 #include <thread>
@@ -109,6 +110,9 @@ void expect_identical(const Response& a, const Response& b) {
     EXPECT_EQ(a.solutions[i].lambda, b.solutions[i].lambda);
     EXPECT_EQ(a.solutions[i].iterations, b.solutions[i].iterations);
     EXPECT_EQ(a.solutions[i].active_monitors, b.solutions[i].active_monitors);
+    EXPECT_EQ(a.solutions[i].certified_gap, b.solutions[i].certified_gap);
+    EXPECT_EQ(a.solutions[i].certified_upper_bound,
+              b.solutions[i].certified_upper_bound);
   }
   EXPECT_EQ(a.sweep, b.sweep);
   ASSERT_EQ(a.accuracy.size(), b.accuracy.size());
@@ -147,6 +151,29 @@ TEST_F(ServeTcpTest, TcpAndLoopbackAnswerBitIdentically) {
     Response b = loopback.call(std::move(over_loopback));
     b.id = a.id;
     expect_identical(a, b);
+  }
+}
+
+TEST_F(ServeTcpTest, TcpAnswerCarriesTheInProcessCertificate) {
+  auto srv = model.server();
+  TcpServer tcp(*srv);
+  TcpClient tcp_client("127.0.0.1", tcp.port());
+  LoopbackTransport in_process(*srv);
+
+  for (const Request& request : request_fleet()) {
+    Request over_tcp = request;
+    Request direct = request;
+    direct.id = request.id + 100;
+    const Response a = tcp_client.call(std::move(over_tcp));
+    Response b = in_process.call(std::move(direct));
+    b.id = a.id;
+    expect_identical(a, b);
+    for (const core::PlacementSolution& s : a.solutions) {
+      EXPECT_GE(s.certified_upper_bound, s.total_utility) << request.id;
+      EXPECT_NEAR(s.certified_upper_bound, s.total_utility + s.certified_gap,
+                  1e-9 * std::abs(s.total_utility))
+          << request.id;
+    }
   }
 }
 

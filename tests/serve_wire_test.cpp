@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -55,6 +59,8 @@ Response sample_response() {
   solution.iterations = 12;
   solution.release_events = 2;
   solution.lambda = 1.25e-5;
+  solution.certified_gap = 3.0e-13;
+  solution.certified_upper_bound = -17.249999999999997;
   response.solutions = {solution};
 
   response.sweep = {{1e4, -20.0, 2e-5, 6}, {1e5, -10.0, 1e-5, 9}};
@@ -100,6 +106,8 @@ void expect_equal(const core::PlacementSolution& a,
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.release_events, b.release_events);
   EXPECT_EQ(a.lambda, b.lambda);
+  EXPECT_EQ(a.certified_gap, b.certified_gap);
+  EXPECT_EQ(a.certified_upper_bound, b.certified_upper_bound);
 }
 
 void expect_equal(const Response& a, const Response& b) {
@@ -131,6 +139,24 @@ TEST(ServeWire, EmptyRequestRoundTrips) {
 TEST(ServeWire, ResponseRoundTripIsBitExact) {
   const Response original = sample_response();
   expect_equal(decode_response(encode_response(original)), original);
+}
+
+TEST(ServeWire, CertificateRoundTripsBitExactly) {
+  Response response = sample_response();
+  core::PlacementSolution& solution = response.solutions[0];
+  for (const auto& [gap, bound] :
+       {std::pair{0.0, 0.0}, std::pair{1e-300, -1e300},
+        std::pair{std::numeric_limits<double>::denorm_min(),
+                  std::numeric_limits<double>::infinity()}}) {
+    solution.certified_gap = gap;
+    solution.certified_upper_bound = bound;
+    const core::PlacementSolution decoded =
+        decode_response(encode_response(response)).solutions[0];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded.certified_gap),
+              std::bit_cast<std::uint64_t>(gap));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded.certified_upper_bound),
+              std::bit_cast<std::uint64_t>(bound));
+  }
 }
 
 TEST(ServeWire, EverySolveStatusRoundTripsAndUnknownOnesAreRejected) {
@@ -217,7 +243,7 @@ TEST(ServeWire, CorruptEnvelopeIsRejected) {
 
 TEST(ServeWire, AbsurdCountsAreRejectedBeforeAllocation) {
   // The failed-link count sits after id(8) + kind(1) + tenant(4, empty) +
-  // theta(8) + alpha(8) in the body (offset 8 for the v2 header).
+  // theta(8) + alpha(8) in the body (offset 8 for the header).
   std::vector<std::uint8_t> bad = encode_request(Request{});
   const std::size_t count_at = 8 + 8 + 1 + 4 + 8 + 8;
   for (std::size_t i = 0; i < 4; ++i) bad[count_at + i] = 0xff;
@@ -233,7 +259,7 @@ TEST(ServeWire, AbsurdCountsAreRejectedBeforeAllocation) {
 TEST(ServeWire, FrameSizeSupportsStreamReassembly) {
   const std::vector<std::uint8_t> frame = encode_request(sample_request());
 
-  // Fewer than 8 buffered bytes (the v2 header): not decidable yet.
+  // Fewer than 8 buffered bytes (the header): not decidable yet.
   EXPECT_EQ(frame_size(std::span(frame.data(), 0)), 0u);
   EXPECT_EQ(frame_size(std::span(frame.data(), 3)), 0u);
   EXPECT_EQ(frame_size(std::span(frame.data(), 7)), 0u);
@@ -259,7 +285,7 @@ TEST(ServeWire, FrameSizeSupportsStreamReassembly) {
   EXPECT_THROW(frame_size(absurd), Error);
   std::vector<std::uint8_t> tiny = {0, 0, 0, 2};
   EXPECT_THROW(frame_size(tiny), Error);
-  // A v2 header with a flipped magic/version byte is rejected as soon as
+  // A header with a flipped magic/version byte is rejected as soon as
   // that byte is buffered, before the length field is even visible.
   std::vector<std::uint8_t> bad_magic = {kWireMagic0, 'X'};
   EXPECT_THROW(frame_size(bad_magic), Error);
@@ -267,118 +293,59 @@ TEST(ServeWire, FrameSizeSupportsStreamReassembly) {
   EXPECT_THROW(frame_size(bad_version), Error);
 }
 
-// --- legacy v1 frames (loopback-era captures) ------------------------
+// --- earlier layouts are rejected ------------------------------------
 
-void legacy_put8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
+void put32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  for (const int shift : {24, 16, 8, 0})
+    out.push_back(static_cast<std::uint8_t>(v >> shift));
 }
 
-void legacy_put32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-void legacy_put64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  legacy_put32(out, static_cast<std::uint32_t>(v >> 32));
-  legacy_put32(out, static_cast<std::uint32_t>(v));
-}
-
-void legacy_put_f64(std::vector<std::uint8_t>& out, double v) {
-  legacy_put64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-// Builds the v1 layout by hand: length prefix | 'N' 'M' | 1 | type | body
-// (body has no tenant string).
-std::vector<std::uint8_t> legacy_frame(std::uint8_t type,
-                                       const std::vector<std::uint8_t>& body) {
+// The v1 layout, built by hand: length prefix | 'N' 'M' | 1 | type |
+// body (an id and a kind are enough to be rejected).
+std::vector<std::uint8_t> v1_frame(std::uint8_t type) {
+  const std::vector<std::uint8_t> body = {0, 0, 0, 0, 0, 0, 0, 77, 0};
   std::vector<std::uint8_t> out;
-  legacy_put32(out, static_cast<std::uint32_t>(4 + body.size()));
-  legacy_put8(out, kWireMagic0);
-  legacy_put8(out, kWireMagic1);
-  legacy_put8(out, kWireLegacyVersion);
-  legacy_put8(out, type);
+  put32(out, static_cast<std::uint32_t>(4 + body.size()));
+  out.insert(out.end(), {kWireMagic0, kWireMagic1, 1, type});
   out.insert(out.end(), body.begin(), body.end());
   return out;
 }
 
-std::vector<std::uint8_t> legacy_request_frame(const Request& request) {
-  std::vector<std::uint8_t> body;
-  legacy_put64(body, request.id);
-  legacy_put8(body, static_cast<std::uint8_t>(request.kind));
-  legacy_put_f64(body, request.theta);
-  legacy_put_f64(body, request.default_alpha);
-  legacy_put32(body, static_cast<std::uint32_t>(request.failed.size()));
-  for (topo::LinkId id : request.failed) legacy_put32(body, id);
-  legacy_put32(body, static_cast<std::uint32_t>(request.what_if.size()));
-  for (const auto& scenario : request.what_if) {
-    legacy_put32(body, static_cast<std::uint32_t>(scenario.size()));
-    for (topo::LinkId id : scenario) legacy_put32(body, id);
+bool throws_with(const std::function<void()>& fn, const std::string& what) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return std::string(e.what()).find(what) != std::string::npos;
   }
-  legacy_put32(body, static_cast<std::uint32_t>(request.thetas.size()));
-  for (double v : request.thetas) legacy_put_f64(body, v);
-  legacy_put32(body, static_cast<std::uint32_t>(request.warm_start.size()));
-  for (double v : request.warm_start) legacy_put_f64(body, v);
-  legacy_put32(body, request.deadline_ms);
-  legacy_put32(body, request.iteration_budget);
-  return legacy_frame(kWireRequest, body);
+  return false;
 }
 
-TEST(ServeWire, LegacyV1RequestStillDecodes) {
-  Request expected = sample_request();
-  expected.tenant.clear();  // v1 has no tenant field
-  const std::vector<std::uint8_t> frame = legacy_request_frame(expected);
-  expect_equal(decode_request(frame), expected);
-  // frame_size understands the legacy layout too, from its length prefix.
-  EXPECT_EQ(frame_size(frame), frame.size());
-  EXPECT_EQ(frame_size(std::span(frame.data(), 4)), frame.size());
-  EXPECT_EQ(frame_size(std::span(frame.data(), 3)), 0u);
+TEST(ServeWire, V2FramesAreAnUnsupportedVersion) {
+  // A v2 frame has the current envelope with version byte 2.
+  std::vector<std::uint8_t> request = encode_request(sample_request());
+  std::vector<std::uint8_t> response = encode_response(sample_response());
+  request[2] = 2;
+  response[2] = 2;
+  EXPECT_TRUE(throws_with([&] { decode_request(request); },
+                          "unsupported wire version"));
+  EXPECT_TRUE(throws_with([&] { decode_response(response); },
+                          "unsupported wire version"));
+  EXPECT_TRUE(throws_with([&] { frame_size(std::span(request.data(), 3)); },
+                          "unsupported wire version"));
 }
 
-TEST(ServeWire, LegacyV1ResponseStillDecodes) {
-  // Minimal empty response in the v1 body layout: id, kind, status,
-  // error, then empty solutions/sweep/accuracy, then transport metadata.
-  std::vector<std::uint8_t> body;
-  legacy_put64(body, 77);
-  legacy_put8(body, static_cast<std::uint8_t>(RequestKind::kSolve));
-  legacy_put8(body, static_cast<std::uint8_t>(ResponseStatus::kShutdown));
-  const std::string error = "server stopping";
-  legacy_put32(body, static_cast<std::uint32_t>(error.size()));
-  body.insert(body.end(), error.begin(), error.end());
-  legacy_put32(body, 0);  // solutions
-  legacy_put32(body, 0);  // sweep
-  legacy_put32(body, 0);  // accuracy
-  legacy_put32(body, 2);  // batch_size
-  legacy_put_f64(body, 0.5);
-  legacy_put_f64(body, 7.25);
-  const Response decoded =
-      decode_response(legacy_frame(kWireResponse, body));
-  EXPECT_EQ(decoded.id, 77u);
-  EXPECT_EQ(decoded.status, ResponseStatus::kShutdown);
-  EXPECT_EQ(decoded.error, error);
-  EXPECT_TRUE(decoded.tenant.empty());
-  EXPECT_EQ(decoded.cache, CacheOutcome::kNone);
-  EXPECT_EQ(decoded.batch_size, 2u);
-  EXPECT_EQ(decoded.queue_ms, 0.5);
-  EXPECT_EQ(decoded.solve_ms, 7.25);
-}
-
-TEST(ServeWire, LegacyV1EnvelopeCorruptionIsRejected) {
-  const std::vector<std::uint8_t> good =
-      legacy_request_frame(Request{});
-  auto corrupt = [&](std::size_t at, std::uint8_t value) {
-    std::vector<std::uint8_t> bad = good;
-    bad[at] = value;
-    return bad;
-  };
-  EXPECT_THROW(decode_request(corrupt(4, 'X')), Error);  // magic 0
-  EXPECT_THROW(decode_request(corrupt(5, 'X')), Error);  // magic 1
-  EXPECT_THROW(decode_request(corrupt(6, 99)), Error);   // version
-  EXPECT_THROW(decode_request(corrupt(7, 7)), Error);    // type
-  for (std::size_t n = 0; n < good.size(); ++n)
-    EXPECT_THROW(decode_request(std::span(good.data(), n)), Error)
-        << "prefix length " << n;
+TEST(ServeWire, V1FramesAreRejected) {
+  // v1 starts with its length prefix, so no byte sits where the magic
+  // must: the frame is rejected at its first byte.
+  for (const std::uint8_t type : {kWireRequest, kWireResponse}) {
+    const std::vector<std::uint8_t> frame = v1_frame(type);
+    EXPECT_TRUE(throws_with([&] { decode_request(frame); }, "bad frame magic"));
+    EXPECT_TRUE(
+        throws_with([&] { decode_response(frame); }, "bad frame magic"));
+    for (std::size_t n = 1; n <= frame.size(); ++n)
+      EXPECT_THROW(frame_size(std::span(frame.data(), n)), Error)
+          << "prefix length " << n;
+  }
 }
 
 }  // namespace
