@@ -307,15 +307,15 @@ void RunKernelBench() {
       core::solve_placement(problem, {}, &solver_ws);
   const double solve_warm_ms = warm_watch.elapsed_ms();
 
-  // Whole-solve throughput with the fused path on vs off (the generic
-  // path is the pre-fusion solver, kept for ablation), warm workspaces.
-  // Same min-over-blocks scheme: iteration counts are deterministic per
-  // options, so it/s = iterations * solves-per-second.
+  // Whole-solve throughput: cold GEANT solves per second with the fused
+  // path on vs off (the generic path keeps Polak-Ribiere, for ablation),
+  // warm workspaces, same min-over-blocks scheme. Solves, not iterations:
+  // a Newton-CG iteration runs CG, so an iteration is no fixed unit of
+  // work.
   constexpr int kSolveReps = 50;
-  const auto solve_iters_per_sec = [&](const opt::SolverOptions& options,
-                                       opt::SolverWorkspace& sws) {
-    const int iters =
-        core::solve_placement(problem, options, &sws).iterations;  // warm
+  const auto solves_per_sec = [&](const opt::SolverOptions& options,
+                                  opt::SolverWorkspace& sws) {
+    (void)core::solve_placement(problem, options, &sws);  // warm
     double best_ms = 0.0;
     for (int b = 0; b < kBlocks; ++b) {
       StopWatch watch;
@@ -324,16 +324,16 @@ void RunKernelBench() {
       const double ms = watch.elapsed_ms() / kSolveReps;
       if (b == 0 || ms < best_ms) best_ms = ms;
     }
-    return static_cast<double>(iters) * 1e3 / best_ms;
+    return 1e3 / best_ms;
   };
 
   opt::SolverOptions fused_opt;  // use_fused defaults to true
   opt::SolverOptions generic_opt;
   generic_opt.use_fused = false;
-  const double iters_per_sec_fused = solve_iters_per_sec(fused_opt, solver_ws);
+  const double geant_solves_per_sec = solves_per_sec(fused_opt, solver_ws);
   opt::SolverWorkspace generic_ws;
-  const double iters_per_sec_generic =
-      solve_iters_per_sec(generic_opt, generic_ws);
+  const double geant_solves_per_sec_generic =
+      solves_per_sec(generic_opt, generic_ws);
 
   // Observability tax on the warm GEANT eval path, two tiers:
   //   metrics-enabled — the solver counter bundle attached (what a
@@ -351,8 +351,7 @@ void RunKernelBench() {
   metrics_opt.counters = obs::register_solver_counters(obs_registry);
   opt::SolverOptions traced_opt = metrics_opt;
   traced_opt.trace = &obs_trace;
-  const int instr_iters =
-      core::solve_placement(problem, traced_opt, &solver_ws).iterations;
+  (void)core::solve_placement(problem, traced_opt, &solver_ws);  // warm
   double min_plain_ms = 0.0, min_metrics_ms = 0.0, min_traced_ms = 0.0;
   for (int i = 0; i < kBlocks * kSolveReps; ++i) {
     StopWatch plain_watch;
@@ -368,8 +367,7 @@ void RunKernelBench() {
     const double traced_ms = traced_watch.elapsed_ms();
     if (i == 0 || traced_ms < min_traced_ms) min_traced_ms = traced_ms;
   }
-  const double iters_per_sec_instrumented =
-      static_cast<double>(instr_iters) * 1e3 / min_metrics_ms;
+  const double solves_per_sec_instrumented = 1e3 / min_metrics_ms;
   const double obs_overhead_pct =
       std::max(0.0, (min_metrics_ms / min_plain_ms - 1.0) * 100.0);
   const double trace_overhead_pct =
@@ -381,14 +379,15 @@ void RunKernelBench() {
       "  grad+hess scatter=%.0f ns  line-search probe=%.0f ns "
       "(%zu/%zu active terms)\n"
       "  solve cold=%.2f ms  warm=%.2f ms  (utility %s, sink %.3g)\n"
-      "  solve throughput: fused=%.0f it/s  generic=%.0f it/s  (%.2fx)\n"
-      "  metrics-enabled=%.0f it/s  obs overhead=%.2f%%  traced=+%.2f%%\n",
+      "  cold solves: fused=%.0f /s  generic=%.0f /s  (%.2fx)\n"
+      "  metrics-enabled=%.0f /s  obs overhead=%.2f%%  traced=+%.2f%%\n",
       spmv_ns, spmv_t_ns, value_ns, gradient_ns, separate_ns, fused_ns,
       eval_path_speedup, grad_hess_ns, probe_ns, restriction.active_terms(),
       f.term_count(), solve_cold_ms, solve_warm_ms,
       cold.total_utility == warm.total_utility ? "bit-identical" : "MISMATCH",
-      sink, iters_per_sec_fused, iters_per_sec_generic,
-      iters_per_sec_fused / iters_per_sec_generic, iters_per_sec_instrumented,
+      sink, geant_solves_per_sec, geant_solves_per_sec_generic,
+      geant_solves_per_sec / geant_solves_per_sec_generic,
+      solves_per_sec_instrumented,
       obs_overhead_pct, trace_overhead_pct);
 
   BenchReport report("solver_perf_kernels", 1);
@@ -405,9 +404,9 @@ void RunKernelBench() {
       .metric("ls_probe_ns", probe_ns)
       .metric("solve_cold_ms", solve_cold_ms)
       .metric("solve_warm_ms", solve_warm_ms)
-      .metric("iters_per_sec_fused", iters_per_sec_fused)
-      .metric("iters_per_sec_generic", iters_per_sec_generic)
-      .metric("iters_per_sec_instrumented", iters_per_sec_instrumented)
+      .metric("geant_solves_per_sec", geant_solves_per_sec)
+      .metric("geant_solves_per_sec_generic", geant_solves_per_sec_generic)
+      .metric("solves_per_sec_instrumented", solves_per_sec_instrumented)
       .metric("obs_overhead_pct", obs_overhead_pct)
       .metric("trace_overhead_pct", trace_overhead_pct);
   report.emit();

@@ -38,7 +38,7 @@ done
 # -- trace.jsonl: every line carries the full iteration schema. --
 TRACE_KEYS='"solve": "iter": "final": "fused": "status": "kind": "value":
 "grad_inf": "proj_grad_norm": "step": "active_set": "restriction_terms":
-"kkt_lambda": "kkt_residual":'
+"kkt_lambda": "kkt_residual": "cg_iters":'
 # shellcheck disable=SC2086
 if awk -v keys="$(echo ${TRACE_KEYS})" '
     BEGIN { n = split(keys, want, " ") }
@@ -55,7 +55,7 @@ fi
 if awk '
     { if (!match($0, /"kind":"[a-z]*"/)) { printf "line %d: no kind\n", NR; exit 1 }
       kind = substr($0, RSTART + 8, RLENGTH - 9)
-      if (kind !~ /^(face|arc|release|optimal|certified|summary)$/) {
+      if (kind !~ /^(face|arc|newton|release|optimal|certified|summary)$/) {
         printf "line %d: unknown kind %s\n", NR, kind; exit 1 }
       final = index($0, "\"final\":true") > 0
       if (final != (kind == "summary")) {

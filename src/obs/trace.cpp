@@ -18,7 +18,7 @@ namespace {
 //   4 grad_inf         (double bits)
 //   5 proj_grad_norm   (double bits)
 //   6 step             (double bits)
-//   7 active_set
+//   7 active_set (low 32 bits) | cg_iterations (high 32 bits)
 //   8 restriction_terms
 //   9 kkt_lambda       (double bits)
 //  10 kkt_residual     (double bits)
@@ -34,6 +34,7 @@ const char* step_kind_name(StepKind kind) noexcept {
   switch (kind) {
     case StepKind::kFace: return "face";
     case StepKind::kArc: return "arc";
+    case StepKind::kNewton: return "newton";
     case StepKind::kRelease: return "release";
     case StepKind::kOptimal: return "optimal";
     case StepKind::kCertified: return "certified";
@@ -55,7 +56,8 @@ void SolverTrace::record(const TraceRecord& r) noexcept {
   words[4] = enc(r.grad_inf);
   words[5] = enc(r.proj_grad_norm);
   words[6] = enc(r.step);
-  words[7] = r.active_set;
+  words[7] = r.active_set |
+             (static_cast<std::uint64_t>(r.cg_iterations) << 32);
   words[8] = r.restriction_terms;
   words[9] = enc(r.kkt_lambda);
   words[10] = enc(r.kkt_residual);
@@ -77,6 +79,7 @@ std::vector<TraceRecord> SolverTrace::snapshot() const {
     r.proj_grad_norm = dec(words[5]);
     r.step = dec(words[6]);
     r.active_set = static_cast<std::uint32_t>(words[7]);
+    r.cg_iterations = static_cast<std::uint32_t>(words[7] >> 32);
     r.restriction_terms = static_cast<std::uint32_t>(words[8]);
     r.kkt_lambda = dec(words[9]);
     r.kkt_residual = dec(words[10]);
@@ -104,6 +107,7 @@ void SolverTrace::write_jsonl(std::ostream& out) const {
         .value(static_cast<std::uint64_t>(r.restriction_terms))
         .key("kkt_lambda").value(r.kkt_lambda)
         .key("kkt_residual").value(r.kkt_residual)
+        .key("cg_iters").value(static_cast<std::uint64_t>(r.cg_iterations))
         .end_object();
     out << '\n';
   }

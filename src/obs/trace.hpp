@@ -28,11 +28,15 @@ namespace netmon::obs {
 
 /// What one trace record's iteration did.
 enum class StepKind : std::uint8_t {
-  /// A step along the (Polak-Ribiere-mixed) projected gradient, or the
-  /// bound activation that replaces it when a bound blocks it.
+  /// A step along the projected gradient (Polak-Ribiere-mixed on the
+  /// generic path), or the bound activation that replaces it when a bound
+  /// blocks it.
   kFace,
   /// A projection-arc step d = P_X(p + t g) - p.
   kArc,
+  /// A truncated Newton-CG step on a settled face (fused path), along
+  /// the Newton direction or its chord P_F(p + d) - p onto the face.
+  kNewton,
   /// A KKT check that released bounds with negative multipliers.
   kRelease,
   /// A KKT check that certified the optimum (the solve stops).
@@ -44,8 +48,8 @@ enum class StepKind : std::uint8_t {
   kSummary,
 };
 
-/// The JSONL name of `kind`: face, arc, release, optimal, certified,
-/// summary.
+/// The JSONL name of `kind`: face, arc, newton, release, optimal,
+/// certified, summary.
 const char* step_kind_name(StepKind kind) noexcept;
 
 /// One solver iteration (or the final summary when `final` is set).
@@ -76,6 +80,9 @@ struct TraceRecord {
   /// SolveResult::worst_multiplier exactly.
   double kkt_lambda = 0.0;
   double kkt_residual = 0.0;
+  /// CG iterations (Hessian-vector products) of a kNewton step; 0 on
+  /// every other kind.
+  std::uint32_t cg_iterations = 0;
 };
 
 /// Pre-sized ring of TraceRecords; thread-safe and allocation-free on

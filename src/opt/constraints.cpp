@@ -137,10 +137,12 @@ constexpr int kMaxProjectionPasses = 200;
 
 }  // namespace
 
-double BoxBudgetConstraints::project_into(std::span<const double> y,
-                                          std::span<double> out,
-                                          double lambda_hint) const {
-  NETMON_REQUIRE(y.size() == u_.size() && out.size() == u_.size(),
+double project_box_budget(std::span<const double> y,
+                          std::span<const double> u,
+                          std::span<const double> alpha, double theta,
+                          std::span<double> out, double lambda_hint) {
+  NETMON_REQUIRE(y.size() == u.size() && out.size() == u.size() &&
+                     alpha.size() == u.size(),
                  "dimension mismatch");
   const std::less<const double*> before;
   NETMON_REQUIRE(!before(y.data(), out.data() + out.size()) ||
@@ -151,14 +153,14 @@ double BoxBudgetConstraints::project_into(std::span<const double> y,
                  "projection input must be finite");
   // A tolerance on the *budget*, not on lambda: d budget / d lambda ~
   // sum u^2 can be enormous when loads are packets-per-interval.
-  const double tol = 1e-13 * theta_;
+  const double tol = 1e-13 * theta;
   double lambda = std::isfinite(lambda_hint) ? lambda_hint : 0.0;
-  BudgetAt b = budget_at(y, u_, alpha_, lambda);
+  BudgetAt b = budget_at(y, u, alpha, lambda);
   // budget(lo) >= theta >= budget(hi).
   double lo = -std::numeric_limits<double>::infinity();
   double hi = std::numeric_limits<double>::infinity();
   for (int pass = 1; pass < kMaxProjectionPasses; ++pass) {
-    const double r = b.value - theta_;
+    const double r = b.value - theta;
     if (std::abs(r) <= tol) break;
     const bool up = r > 0.0;  // budget too high: lambda must grow
     if (up) lo = lambda;
@@ -174,7 +176,7 @@ double BoxBudgetConstraints::project_into(std::span<const double> y,
       // Flat stretch: the budget holds until the nearest kink, then moves
       // with that kink's slope. Nothing to free means theta sits at the
       // edge of the samplable volume.
-      const Kink k = next_kink(y, u_, alpha_, lambda, up);
+      const Kink k = next_kink(y, u, alpha, lambda, up);
       if (!(k.slope > 0.0)) break;
       kink = k.at;
       if (up) lo = std::max(lo, k.at);
@@ -188,37 +190,43 @@ double BoxBudgetConstraints::project_into(std::span<const double> y,
       if (!(next > lo && next < hi)) {
         if (!std::isnan(kink)) {
           lambda = kink;
-          b = budget_at(y, u_, alpha_, lambda);
+          b = budget_at(y, u, alpha, lambda);
         }
         break;
       }
     }
     lambda = next;
-    b = budget_at(y, u_, alpha_, lambda);
+    b = budget_at(y, u, alpha, lambda);
   }
   // The output pass takes one more Newton step from lambda, moving the
   // coordinates on the residual's side, so the equality holds to full
   // precision. With none there, rounding hid the root's kink: move the
   // coordinates that start to move at it, as a step from that kink would.
-  const double drift = theta_ - b.value;
+  const double drift = theta - b.value;
   const bool up = drift < 0.0;
   const double slope = up ? b.right : b.left;
   const double shift = slope > 0.0 ? drift / slope : 0.0;
-  for (std::size_t j = 0; j < u_.size(); ++j) {
-    const double v = y[j] - lambda * u_[j];
-    const double a = alpha_[j];
+  for (std::size_t j = 0; j < u.size(); ++j) {
+    const double v = y[j] - lambda * u[j];
+    const double a = alpha[j];
     const double c = std::min(std::max(v, 0.0), a);
     const bool moves = up ? (v > 0.0) & (v <= a) : (v >= 0.0) & (v < a);
-    out[j] = moves ? std::min(std::max(c + shift * u_[j], 0.0), a) : c;
+    out[j] = moves ? std::min(std::max(c + shift * u[j], 0.0), a) : c;
   }
   if (drift != 0.0 && !(slope > 0.0)) {
-    const Kink k = next_kink(y, u_, alpha_, lambda, up);
-    for (std::size_t j = 0; k.slope > 0.0 && j < u_.size(); ++j) {
-      if (kink_of(y, u_, alpha_, lambda, up, j) == k.at)
-        out[j] = std::clamp(out[j] + drift * u_[j] / k.slope, 0.0, alpha_[j]);
+    const Kink k = next_kink(y, u, alpha, lambda, up);
+    for (std::size_t j = 0; k.slope > 0.0 && j < u.size(); ++j) {
+      if (kink_of(y, u, alpha, lambda, up, j) == k.at)
+        out[j] = std::clamp(out[j] + drift * u[j] / k.slope, 0.0, alpha[j]);
     }
   }
   return lambda - shift;
+}
+
+double BoxBudgetConstraints::project_into(std::span<const double> y,
+                                          std::span<double> out,
+                                          double lambda_hint) const {
+  return project_box_budget(y, u_, alpha_, theta_, out, lambda_hint);
 }
 
 std::vector<double> BoxBudgetConstraints::project(

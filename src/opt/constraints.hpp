@@ -50,4 +50,13 @@ class BoxBudgetConstraints {
   double theta_;
 };
 
+/// BoxBudgetConstraints::project_into for the set {0 <= x_j <= alpha_j,
+/// sum_j u_j x_j = theta} given by spans, with the same requirements on
+/// the loads, bounds and theta. The solver projects onto a face with it:
+/// the free coordinates alone, against the budget they hold between them.
+double project_box_budget(std::span<const double> y,
+                          std::span<const double> u,
+                          std::span<const double> alpha, double theta,
+                          std::span<double> out, double lambda_hint = 0.0);
+
 }  // namespace netmon::opt

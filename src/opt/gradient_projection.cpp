@@ -21,6 +21,11 @@ constexpr int kInnerRefreshInterval = 64;
 // Arc steps stop once one gains no more than this share of the best gain
 // of the current run of arc steps (Moré and Toraldo's eta_2).
 constexpr double kArcMinGain = 0.25;
+// Newton-CG face steps: CG stops once the residual is within
+// eta * ||s||, eta = min(kCgForcingMax, ||s|| / (1 + ||g||)) (quadratic
+// forcing), or after kCgMaxIterations products.
+constexpr double kCgForcingMax = 0.1;
+constexpr int kCgMaxIterations = 60;
 
 double norm2(std::span<const double> v) {
   double sum = 0.0;
@@ -59,6 +64,102 @@ void project_direction(std::span<const double> v, std::span<const double> u,
   } else {
     for (std::size_t j = 0; j < v.size(); ++j) write(j);
   }
+}
+
+struct NewtonCg {
+  int iterations = 0;      // Hessian-vector products taken
+  bool converged = false;  // the residual met the forcing tolerance
+};
+
+// Truncated CG on the face's Newton system (P H P) d = s, with
+// H = R_F^T diag(-M'') R_F and P the projection that zeroes the bound
+// coordinates and takes the free ones off the budget normal u_F. The
+// solve runs in compact coordinates over the free set; every product is
+// one walk of the free CSC columns to form R_F v, then one walk back.
+// All reductions are serial. Writes the direction into `d` (zero on the
+// bound coordinates); iterations == 0 means the first product found no
+// positive curvature and `d` is untouched.
+NewtonCg newton_cg(const SeparableConcaveObjective& f,
+                   std::span<const double> m2, std::span<const double> s,
+                   double snorm, double gnorm, std::span<const double> u,
+                   const std::vector<BoundState>& bounds, SolverWorkspace& ws,
+                   std::span<double> d) {
+  std::vector<std::size_t>& cols = ws.free_cols;
+  cols.clear();
+  for (std::size_t j = 0; j < bounds.size(); ++j) {
+    if (bounds[j] == BoundState::kFree) cols.push_back(j);
+  }
+  const std::size_t m = cols.size();
+  const std::span<double> uf(ws.cg_u.data(), m), x(ws.cg_d.data(), m),
+      r(ws.cg_r.data(), m), p(ws.cg_p.data(), m), hp(ws.cg_hp.data(), m);
+  double uu = 0.0;
+  for (std::size_t i = 0; i < m; ++i) {
+    uf[i] = u[cols[i]];
+    uu += uf[i] * uf[i];
+    x[i] = 0.0;
+    r[i] = s[cols[i]];
+    p[i] = r[i];
+  }
+  auto project = [&](std::span<double> v) {
+    if (!(uu > 0.0)) return;
+    const double lambda = dot(v, uf) / uu;
+    for (std::size_t i = 0; i < m; ++i) v[i] -= lambda * uf[i];
+  };
+
+  const linalg::SparseCsr& rt = f.matrix_transposed();
+  const std::span<const std::size_t> col_ptr = rt.row_ptr();
+  const std::span<const linalg::SparseCsr::Index> rows = rt.col_idx();
+  const std::span<const double> vals = rt.values();
+  std::vector<double>& w = ws.cg_w;
+  // hp = P H p: w = R_F p (zeroing only the rows the free columns reach),
+  // then hp_i = sum_k R_{k,j} (-M''_k) w_k down each free column j.
+  auto hessian_times_p = [&] {
+    for (std::size_t j : cols) {
+      for (std::size_t e = col_ptr[j]; e < col_ptr[j + 1]; ++e) w[rows[e]] = 0.0;
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t j = cols[i];
+      for (std::size_t e = col_ptr[j]; e < col_ptr[j + 1]; ++e)
+        w[rows[e]] += vals[e] * p[i];
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t j = cols[i];
+      double acc = 0.0;
+      for (std::size_t e = col_ptr[j]; e < col_ptr[j + 1]; ++e)
+        acc -= vals[e] * m2[rows[e]] * w[rows[e]];
+      hp[i] = acc;
+    }
+    project(hp);
+  };
+
+  const double eta = std::min(kCgForcingMax, snorm / (1.0 + gnorm));
+  const double tol = eta * snorm;
+  double rr = snorm * snorm;
+  NewtonCg out;
+  while (out.iterations < kCgMaxIterations) {
+    hessian_times_p();
+    const double curvature = dot(p, hp);
+    if (!(curvature > 0.0)) break;  // flat or rounding: keep what we have
+    ++out.iterations;
+    const double a = rr / curvature;
+    for (std::size_t i = 0; i < m; ++i) {
+      x[i] += a * p[i];
+      r[i] -= a * hp[i];
+    }
+    const double rr_next = dot(r, r);
+    if (std::sqrt(rr_next) <= tol) {
+      out.converged = true;
+      break;
+    }
+    const double beta = rr_next / rr;
+    rr = rr_next;
+    for (std::size_t i = 0; i < m; ++i) p[i] = r[i] + beta * p[i];
+  }
+  if (out.iterations == 0) return out;
+  project(x);
+  std::fill(d.begin(), d.end(), 0.0);
+  for (std::size_t i = 0; i < m; ++i) d[cols[i]] = x[i];
+  return out;
 }
 
 }  // namespace
@@ -169,6 +270,7 @@ SolveResult maximize(const Objective& f,
   double arc_value = 0.0;     // objective before that step
   double arc_best_gain = 0.0;
   double arc_lambda_per_t = 0.0;  // projection multiplier / t, warm start
+  double chord_lambda = 0.0;      // chord projection multiplier, warm start
 
   // Full inner-product recompute, sharded when the pool is engaged.
   auto refresh_inner = [&] {
@@ -180,6 +282,10 @@ SolveResult maximize(const Objective& f,
   };
 
   if (sep != nullptr) {
+    ws.free_cols.reserve(n);
+    for (auto* v : {&ws.cg_u, &ws.cg_d, &ws.cg_r, &ws.cg_p, &ws.cg_hp})
+      v->resize(n);
+    ws.cg_w.resize(sep->term_count());
     ws.x.resize(sep->term_count());
     x = {ws.x.data(), ws.x.size()};
     refresh_inner();
@@ -206,7 +312,7 @@ SolveResult maximize(const Objective& f,
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   // `kkt_valid`: ws.kkt holds multipliers computed at this iterate.
   auto trace_iter = [&](obs::StepKind kind, double snorm, double step,
-                        bool kkt_valid) {
+                        bool kkt_valid, int cg_iterations = 0) {
     if (trace == nullptr) return;
     obs::TraceRecord r;
     r.solve_id = solve_id;
@@ -243,6 +349,7 @@ SolveResult maximize(const Objective& f,
             : 0;
     r.kkt_lambda = kkt_valid ? ws.kkt.lambda : kNan;
     r.kkt_residual = kkt_valid ? ws.kkt.worst : kNan;
+    r.cg_iterations = static_cast<std::uint32_t>(cg_iterations);
     trace->record(r);
   };
   while (iter < options.max_iterations) {
@@ -322,6 +429,13 @@ SolveResult maximize(const Objective& f,
     // Arc direction d = P_X(p + t g) - p: every point p + tau d with tau
     // in [0, 1] is feasible, so the 1-D search runs on [0, 1].
     bool arc_step = false;
+    // Newton-CG face step (fused path, settled face): `chord_step` when
+    // the full step left the box and the search runs along the chord
+    // P_F(p + d) - p; `capped` when CG converged and the full step stays
+    // in the box, so the search is capped at t = 1.
+    NewtonCg cg;
+    bool chord_step = false;
+    bool capped = false;
     double t_max = 1.0;
     if (arc) {
       double t = bb_t;
@@ -341,10 +455,15 @@ SolveResult maximize(const Objective& f,
       arc_value = value;
     }
 
-    if (!arc_step) {
-      // Search direction: projected gradient, optionally conjugate-mixed.
+    if (!arc_step && sep != nullptr && have_prev) {
+      cg = newton_cg(*sep, m2_terms, s, snorm, gnorm, u, bounds, ws, d);
+      if (cg.iterations > 0 && !(dot(g, d) > 0.0)) cg.iterations = 0;
+    }
+    if (!arc_step && cg.iterations == 0) {
+      // Search direction: projected gradient, conjugate-mixed on the
+      // generic path.
       d = s;
-      if (options.polak_ribiere && have_prev) {
+      if (sep == nullptr && options.polak_ribiere && have_prev) {
         double num = 0.0, den = 0.0;
         for (std::size_t j = 0; j < n; ++j) {
           num += s[j] * (s[j] - s_prev[j]);
@@ -359,7 +478,9 @@ SolveResult maximize(const Objective& f,
           if (dot(d, g) <= 0.0) d = s;
         }
       }
+    }
 
+    if (!arc_step) {
       // Longest feasible step along d.
       t_max = std::numeric_limits<double>::infinity();
       for (std::size_t j = 0; j < n; ++j) {
@@ -370,7 +491,37 @@ SolveResult maximize(const Objective& f,
           t_max = std::min(t_max, result.p[j] / -d[j]);
         }
       }
-      if (!std::isfinite(t_max) || t_max <= 0.0) {
+      if (cg.iterations > 0 && t_max < 1.0) {
+        // The full Newton step crosses a bound: search the chord to its
+        // projection onto the face instead, P_F(p + d) - p. It pins every
+        // crossing coordinate at once and leaves the bound ones in place.
+        const std::span<const std::size_t> cols = ws.free_cols;
+        const std::size_t m = cols.size();
+        const std::span<double> yf(ws.cg_r.data(), m),
+            af(ws.cg_hp.data(), m), pf(ws.cg_p.data(), m);
+        double theta_f = 0.0;
+        for (std::size_t i = 0; i < m; ++i) {
+          const std::size_t j = cols[i];
+          yf[i] = result.p[j] + d[j];
+          af[i] = alpha[j];
+          theta_f += u[j] * result.p[j];
+        }
+        chord_lambda = project_box_budget(yf, {ws.cg_u.data(), m}, af,
+                                          theta_f, pf, chord_lambda);
+        double slope = 0.0;
+        for (std::size_t i = 0; i < m; ++i)
+          slope += g[cols[i]] * (pf[i] - result.p[cols[i]]);
+        if (slope > 0.0) {
+          for (std::size_t i = 0; i < m; ++i)
+            d[cols[i]] = pf[i] - result.p[cols[i]];
+          chord_step = true;
+          t_max = 1.0;
+        }
+      } else if (cg.converged) {
+        capped = true;
+        t_max = 1.0;
+      }
+      if (!chord_step && (!std::isfinite(t_max) || t_max <= 0.0)) {
         // Numerically stuck against a bound: activate the offender(s).
         bool changed = false;
         for (std::size_t j = 0; j < n; ++j) {
@@ -458,7 +609,14 @@ SolveResult maximize(const Objective& f,
       }
       arc = changed;
       have_prev = false;
-    } else if (ls.hit_boundary) {
+    } else if (chord_step) {
+      // The chord pins what it carried onto a bound and leaves the face
+      // settled: the Newton model that predicted the crossings drives the
+      // next step as well.
+      for (std::size_t j = 0; j < n; ++j) {
+        if (bounds[j] == BoundState::kFree) classify(j);
+      }
+    } else if (ls.hit_boundary && !capped) {
       for (std::size_t j = 0; j < n; ++j) {
         if (bounds[j] == BoundState::kFree) classify(j);
       }
@@ -477,14 +635,18 @@ SolveResult maximize(const Objective& f,
       if (snapped) {
         have_prev = false;
       } else {
-        s_prev = s;
-        d_prev = d;
+        if (sep == nullptr) {
+          s_prev = s;
+          d_prev = d;
+        }
         have_prev = true;
       }
     }
     correct_budget();
-    trace_iter(arc_step ? obs::StepKind::kArc : obs::StepKind::kFace, snorm,
-               ls.t, /*kkt_valid=*/false);
+    trace_iter(arc_step             ? obs::StepKind::kArc
+               : cg.iterations > 0 ? obs::StepKind::kNewton
+                                   : obs::StepKind::kFace,
+               snorm, ls.t, /*kkt_valid=*/false, cg.iterations);
 
     if (maintain_x && (++iters_since_refresh >= kInnerRefreshInterval ||
                        deltas_this_iter > n / 4)) {

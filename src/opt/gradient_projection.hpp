@@ -3,12 +3,22 @@
 // steps while the active set moves.
 //
 // A face step projects the gradient onto the subspace spanned by the
-// currently active constraints and moves along the (optionally
-// Polak-Ribiere-mixed) projected direction until the objective is
-// maximized on the segment (safeguarded Newton 1-D search) or an inactive
-// constraint is hit, which is then activated. After a face step stops on
-// a bound, the solver takes arc steps instead (the switching rule of Moré
-// and Toraldo's GPCG): d = P_X(p + t g) - p, with t the Barzilai-Borwein
+// currently active constraints and moves along the projected direction
+// until the objective is maximized on the segment (safeguarded Newton 1-D
+// search) or an inactive constraint is hit, which is then activated. Once
+// the face has settled (the previous face step ended inside it), the
+// fused path steps along a truncated Newton-CG direction on the face
+// instead (Moré–Toraldo GPCG, Lin–Moré TRON): CG on (P H P) d = s with
+// H = R_F^T diag(-M'') R_F over the free coordinates F and P the
+// projection onto the face. When the full Newton step leaves the box, the
+// search runs along the chord P_F(p + d) - p, with P_F the projection
+// onto the face (the free coordinates alone, holding their share of the
+// budget), which pins every crossing coordinate at once and leaves the
+// bound ones in place; otherwise a converged CG step is searched on
+// [0, 1]. The generic path mixes the previous direction per Polak-Ribiere
+// there. After a face step stops on a bound, the solver takes arc steps
+// instead (the switching rule of Moré and Toraldo's GPCG):
+// d = P_X(p + t g) - p, with t the Barzilai-Borwein
 // length of the last iterate pair and P_X the Euclidean projection onto
 // the feasible set, searched on [0, 1] by the same 1-D search. Every
 // coordinate is then re-classified — one arc step can pin and free
@@ -58,9 +68,10 @@ struct SolverOptions {
   /// is certified. 0 turns the check off: the solve then ends on its KKT
   /// certificate, bit-identical to a solve without the check.
   double gap_tolerance = 0.0;
-  /// Mix the previous direction per Polak-Ribiere (paper §IV-D: avoids
-  /// the zigzag path of pure projected gradients). Off = plain projection
-  /// (ablation).
+  /// Generic path only: mix the previous direction per Polak-Ribiere
+  /// (paper §IV-D: avoids the zigzag path of pure projected gradients).
+  /// Off = plain projection (ablation). The fused path takes Newton-CG
+  /// steps on a settled face instead and ignores this switch.
   bool polak_ribiere = true;
   /// 1-D search configuration (Newton by default; bisection ablation).
   LineSearchOptions line_search;
@@ -161,6 +172,14 @@ struct SolverWorkspace {
   std::vector<double> p_prev;   // previous iterate (Barzilai-Borwein pair)
   std::vector<double> g_prev;   // previous gradient (Barzilai-Borwein pair)
   std::vector<double> x;        // maintained inner products (fused path)
+  // Newton-CG on the face (fused path), compact over the free coordinates.
+  std::vector<std::size_t> free_cols;  // the free coordinates, ascending
+  std::vector<double> cg_u;     // budget normal restricted to them
+  std::vector<double> cg_d;     // CG solution (the Newton direction)
+  std::vector<double> cg_r;     // CG residual
+  std::vector<double> cg_p;     // CG search direction
+  std::vector<double> cg_hp;    // (P H P) applied to cg_p
+  std::vector<double> cg_w;     // R_F v per term (term_count)
   SeparableRestriction restriction;  // line-search probes (fused path)
   KktReport kkt;
   std::vector<KnapsackItem> fill;  // certificate knapsack items

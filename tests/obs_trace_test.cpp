@@ -115,7 +115,7 @@ TEST(SolverTrace, JsonlHasOneObjectPerRecordWithTheSchemaKeys) {
        {"\"solve\":", "\"iter\":", "\"final\":", "\"fused\":", "\"status\":",
         "\"value\":", "\"grad_inf\":", "\"proj_grad_norm\":", "\"step\":",
         "\"active_set\":", "\"restriction_terms\":", "\"kkt_lambda\":",
-        "\"kkt_residual\":", "\"kind\":"}) {
+        "\"kkt_residual\":", "\"kind\":", "\"cg_iters\":"}) {
     EXPECT_NE(jsonl.find(key), std::string::npos) << key;
   }
 }
@@ -140,6 +140,8 @@ std::vector<obs::TraceRecord> checked_records(const obs::SolverTrace& trace,
     if (r.kind == obs::StepKind::kArc) {
       EXPECT_GT(r.step, 0.0);
     }
+    EXPECT_EQ(r.cg_iterations > 0, r.kind == obs::StepKind::kNewton)
+        << "iteration " << i + 1;
   }
   return records;
 }
@@ -187,6 +189,39 @@ TEST(SolverTrace, ReleaseRecordsCountTheReleaseEvents) {
   EXPECT_EQ(count_kind(records, obs::StepKind::kRelease),
             static_cast<std::size_t>(result.release_events));
   EXPECT_EQ(records[records.size() - 2].kind, obs::StepKind::kOptimal);
+}
+
+TEST(SolverTrace, NewtonStepsCarryTheirCgIterations) {
+  // GEANT's face settles early; the fused path then takes Newton-CG
+  // steps, and the generic path never does.
+  const core::GeantScenario scenario = core::make_geant_scenario();
+  const core::PlacementProblem problem = core::make_problem(scenario, {});
+  for (const bool fused : {true, false}) {
+    obs::SolverTrace trace(8192);
+    SolverOptions options;
+    options.trace = &trace;
+    options.use_fused = fused;
+    const SolveResult result =
+        maximize(problem.objective(), problem.constraints(), options);
+    ASSERT_EQ(result.status, SolveStatus::kOptimal);
+    const std::vector<obs::TraceRecord> records =
+        checked_records(trace, result);
+    EXPECT_EQ(count_kind(records, obs::StepKind::kNewton) > 0, fused);
+  }
+  EXPECT_STREQ(obs::step_kind_name(obs::StepKind::kNewton), "newton");
+
+  obs::SolverTrace trace;
+  obs::TraceRecord record;
+  record.kind = obs::StepKind::kNewton;
+  record.active_set = 0xFFFFFFFFu;
+  record.cg_iterations = 37;
+  trace.record(record);
+  const obs::TraceRecord back = trace.snapshot().at(0);
+  EXPECT_EQ(back.kind, obs::StepKind::kNewton);
+  EXPECT_EQ(back.active_set, 0xFFFFFFFFu);
+  EXPECT_EQ(back.cg_iterations, 37u);
+  EXPECT_NE(trace.jsonl().find("\"kind\":\"newton\""), std::string::npos);
+  EXPECT_NE(trace.jsonl().find("\"cg_iters\":37"), std::string::npos);
 }
 
 TEST(SolverTrace, GapStopEndsOnOneCertifiedRecord) {

@@ -377,6 +377,39 @@ TEST(ZeroAlloc, WarmSolveTakingArcStepsAllocatesNothingPerIteration) {
   }
 }
 
+TEST(ZeroAlloc, WarmSolveTakingNewtonStepsAllocatesNothingPerIteration) {
+  // The GEANT solve settles its face within a few iterations and then
+  // takes Newton-CG steps, whose CG scratch lives in the workspace.
+  const GeantFixture fx;
+  obs::SolverTrace trace(8192);
+  SolverOptions options;
+  options.trace = &trace;
+  std::size_t first_poll = 0, last_poll = 0;
+  options.should_stop = [&](int iterations) {
+    (iterations == 0 ? first_poll : last_poll) = g_alloc_count;
+    return false;
+  };
+  SolverWorkspace workspace;
+  (void)maximize(fx.problem.objective(), fx.problem.constraints(), options,
+                 nullptr, &workspace);
+  const std::uint64_t before = trace.total_recorded();
+  const SolveResult r = maximize(fx.problem.objective(),
+                                 fx.problem.constraints(), options, nullptr,
+                                 &workspace);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_EQ(last_poll - first_poll, 0u)
+      << "the Newton-CG iteration loop allocates";
+
+  const std::vector<obs::TraceRecord> records = trace.snapshot();
+  std::size_t newton = 0;
+  for (std::size_t i = before; i < records.size(); ++i) {
+    if (records[i].kind != obs::StepKind::kNewton) continue;
+    ++newton;
+    EXPECT_GT(records[i].cg_iterations, 0u);
+  }
+  EXPECT_GT(newton, 0u) << "the solve took no Newton-CG step";
+}
+
 TEST(ZeroAlloc, GapStoppedSolveAllocatesNothingPerIteration) {
   // Every iteration certifies its iterate (one knapsack fill into the
   // workspace's item buffer) until the gap stop: the check must not
