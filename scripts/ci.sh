@@ -8,11 +8,13 @@
 # its certificate fill (selection over a reused item buffer), and the
 # wire codec + TCP frame
 # reassembly fuzz suites (the gate for src/linalg/ span/pointer
-# arithmetic, workspace reuse, and byte-level decode), and a UBSan
+# arithmetic, workspace reuse, and byte-level decode) plus the
+# incremental re-routing differential suite, and a UBSan
 # build of the fused batch
 # kernels, solver and certificate — including the explicit AVX2/AVX-512 intrinsic TUs
 # via opt_simd_dispatch_test (the gate for the branch-free select
-# arithmetic in src/core/utility_kernels.hpp and the intrinsic kernels).
+# arithmetic in src/core/utility_kernels.hpp and the intrinsic kernels)
+# and the flat SPF kernel / re-routing suite.
 # A dedicated -march=x86-64-v3 leg then rebuilds the tree with the wider
 # baseline ISA and runs the SIMD suites at EVERY dispatch level
 # (NETMON_SIMD=scalar|avx2|avx512|auto), so cross-level bit-identity is
@@ -63,7 +65,8 @@ ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
 echo "== tier-2: ASan gate on linalg kernels + solver + wire decoding =="
 ASAN_TESTS="linalg_sparse_test opt_objective_test opt_gradient_projection_test \
 opt_constraints_test opt_certificate_test opt_zero_alloc_test core_solver_test \
-estimate_flow_inversion_test serve_wire_test serve_tcp_fuzz_test"
+estimate_flow_inversion_test serve_wire_test serve_tcp_fuzz_test \
+routing_reroute_test"
 cmake -B "${PREFIX}-asan" -S . -DNETMON_SANITIZE=address
 # shellcheck disable=SC2086
 cmake --build "${PREFIX}-asan" -j "${JOBS}" --target ${ASAN_TESTS}
@@ -74,7 +77,7 @@ echo "== tier-2: UBSan gate on the fused batch kernels + solver =="
 UBSAN_TESTS="core_utility_test opt_fused_eval_test opt_objective_test \
 opt_gradient_projection_test opt_constraints_test opt_certificate_test \
 core_solver_test \
-opt_simd_dispatch_test"
+opt_simd_dispatch_test routing_reroute_test"
 cmake -B "${PREFIX}-ubsan" -S . -DNETMON_SANITIZE=undefined
 # shellcheck disable=SC2086
 cmake --build "${PREFIX}-ubsan" -j "${JOBS}" --target ${UBSAN_TESTS}

@@ -164,19 +164,24 @@ StepResult ControlLoop::step(const BinObservation& observation) {
   const bool topology_changed = observation.failed != last_failed_;
   if (topology_changed) {
     last_failed_ = observation.failed;
+    routing_ = nullptr;
     record(obs::ServeEvent::kControlTopology, observation.failed.size());
   }
 
-  // 3. Assemble this bin's problem from the tracked task. A bin the
-  // assembly rejects (a failure disconnecting a task OD, a dead load on
-  // a candidate link) changes nothing: the incumbent stays in force and
-  // the loop retries next bin.
+  // 3. Assemble this bin's problem from the tracked task, starting from
+  // the routing of the bin's topology when an earlier bin built it, and
+  // otherwise from the intact-graph baseline (only rows crossing the
+  // failed links re-route). A bin the assembly rejects (a failure
+  // disconnecting a task OD, a dead load on a candidate link) changes
+  // nothing: the incumbent stays in force and the loop retries next bin.
   std::optional<core::PlacementProblem> problem;
   core::ProblemOptions problem_options = config_.problem;
   problem_options.failed = observation.failed;
   try {
     problem.emplace(graph_, tracker_.tracked_task(), observation.loads,
-                    problem_options);
+                    problem_options, routing_ ? routing_ : baseline_);
+    routing_ = problem->shared_routing();
+    if (!baseline_ && observation.failed.empty()) baseline_ = routing_;
   } catch (const Error&) {
     out.skipped = true;
     skipped_total_.inc();

@@ -190,6 +190,10 @@ class ControlLoop {
   sampling::RateVector oracle_rates_;
   bool have_oracle_ = false;
   routing::LinkSet last_failed_;
+  /// The task's routing on the intact graph (set by the first bin
+  /// without failures) and under last_failed_ (reset when it changes).
+  std::shared_ptr<const routing::RoutingMatrix> baseline_;
+  std::shared_ptr<const routing::RoutingMatrix> routing_;
 
   int bin_ = 0;
   int bins_since_resolve_ = 0;

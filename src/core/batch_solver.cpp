@@ -141,7 +141,10 @@ std::vector<PlacementProblem> make_theta_sweep(
   for (const double theta : thetas) {
     ProblemOptions options = base;
     options.theta = theta;
-    problems.emplace_back(graph, task, loads, options);
+    // Every point shares the first point's routing.
+    problems.emplace_back(graph, task, loads, options,
+                          problems.empty() ? nullptr
+                                           : problems.front().shared_routing());
   }
   return problems;
 }

@@ -112,7 +112,8 @@ class BatchSolver {
 };
 
 /// Builds one problem per theta (the Fig. 2 sweep shape): `base` supplies
-/// every option except theta.
+/// every option except theta. The task is routed once and every problem
+/// shares that matrix.
 std::vector<PlacementProblem> make_theta_sweep(
     const topo::Graph& graph, const MeasurementTask& task,
     const traffic::LinkLoads& loads, const ProblemOptions& base,

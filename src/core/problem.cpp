@@ -10,13 +10,28 @@ namespace netmon::core {
 
 namespace {
 
-routing::RoutingMatrix build_matrix(const topo::Graph& graph,
-                                    const MeasurementTask& task,
-                                    const ProblemOptions& options) {
-  return options.ecmp
-             ? routing::RoutingMatrix::ecmp(graph, task.ods, options.failed)
-             : routing::RoutingMatrix::single_path(graph, task.ods,
-                                                   options.failed);
+std::shared_ptr<const routing::RoutingMatrix> build_matrix(
+    const topo::Graph& graph, const MeasurementTask& task,
+    const ProblemOptions& options,
+    std::shared_ptr<const routing::RoutingMatrix> baseline) {
+  if (baseline) {
+    NETMON_REQUIRE(baseline->ods() == task.ods,
+                   "baseline routing covers other OD pairs than the task");
+    const routing::LinkSet& routed = baseline->failed();
+    if (baseline->is_ecmp() == options.ecmp && routed == options.failed)
+      return baseline;
+    const bool adds_failures = std::all_of(
+        routed.begin(), routed.end(),
+        [&](topo::LinkId id) { return options.failed.count(id) > 0; });
+    if (!options.ecmp && !baseline->is_ecmp() && adds_failures)
+      return std::make_shared<const routing::RoutingMatrix>(
+          baseline->rerouted(graph, options.failed));
+  }
+  return std::make_shared<const routing::RoutingMatrix>(
+      options.ecmp
+          ? routing::RoutingMatrix::ecmp(graph, task.ods, options.failed)
+          : routing::RoutingMatrix::single_path(graph, task.ods,
+                                                options.failed));
 }
 
 }  // namespace
@@ -24,12 +39,14 @@ routing::RoutingMatrix build_matrix(const topo::Graph& graph,
 PlacementProblem::PlacementProblem(const topo::Graph& graph,
                                    MeasurementTask task,
                                    traffic::LinkLoads loads,
-                                   ProblemOptions options)
+                                   ProblemOptions options,
+                                   std::shared_ptr<const routing::RoutingMatrix>
+                                       baseline)
     : graph_(graph),
       task_(std::move(task)),
       loads_(std::move(loads)),
       options_(std::move(options)),
-      matrix_(build_matrix(graph_, task_, options_)) {
+      matrix_(build_matrix(graph_, task_, options_, std::move(baseline))) {
   NETMON_REQUIRE(task_.ods.size() == task_.expected_packets.size(),
                  "task OD/size vectors must be aligned");
   NETMON_REQUIRE(!task_.ods.empty(), "task must contain >= 1 OD pair");
@@ -41,7 +58,7 @@ PlacementProblem::PlacementProblem(const topo::Graph& graph,
   // and inside the restriction set when one is given.
   std::unordered_set<topo::LinkId> allowed(options_.restrict_to.begin(),
                                            options_.restrict_to.end());
-  for (topo::LinkId id : matrix_.links_used()) {
+  for (topo::LinkId id : matrix_->links_used()) {
     if (!graph_.link(id).monitorable) continue;
     if (!allowed.empty() && !allowed.count(id)) continue;
     NETMON_REQUIRE(loads_[id] > 0.0,
@@ -75,9 +92,9 @@ PlacementProblem::PlacementProblem(const topo::Graph& graph,
   // Objective rows in candidate space (non-candidate links dropped: no
   // monitor can be activated there), built straight into a CSR arena.
   linalg::CsrBuilder builder(candidates_.size());
-  builder.reserve(task_.ods.size(), matrix_.csr().nnz());
+  builder.reserve(task_.ods.size(), matrix_->csr().nnz());
   for (std::size_t k = 0; k < task_.ods.size(); ++k) {
-    for (const auto& [link, frac] : matrix_.row(k)) {
+    for (const auto& [link, frac] : matrix_->row(k)) {
       if (candidate_index_[link]) builder.push(*candidate_index_[link], frac);
     }
     builder.finish_row();

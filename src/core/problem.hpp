@@ -43,11 +43,26 @@ class PlacementProblem {
  public:
   /// `loads` are per-link packet rates (pkt/s) including all cross
   /// traffic; they must be positive on every candidate link.
-  PlacementProblem(const topo::Graph& graph, MeasurementTask task,
-                   traffic::LinkLoads loads, ProblemOptions options = {});
+  ///
+  /// `baseline`, when given, is a routing of the task's OD pairs on
+  /// `graph` (throws if its OD pairs differ) that the problem starts
+  /// from instead of routing from scratch: it is shared as is when it
+  /// was routed around exactly options.failed with the same ecmp flag,
+  /// and rerouted (RoutingMatrix::rerouted) when it is single-path and
+  /// options.failed adds links to its failure set. Any other baseline is
+  /// ignored. The matrix is bit for bit the one built from scratch.
+  PlacementProblem(
+      const topo::Graph& graph, MeasurementTask task,
+      traffic::LinkLoads loads, ProblemOptions options = {},
+      std::shared_ptr<const routing::RoutingMatrix> baseline = nullptr);
 
   /// The routing matrix of the task's OD pairs.
-  const routing::RoutingMatrix& routing() const noexcept { return matrix_; }
+  const routing::RoutingMatrix& routing() const noexcept { return *matrix_; }
+  /// The same matrix as a shareable baseline for further problems.
+  const std::shared_ptr<const routing::RoutingMatrix>& shared_routing()
+      const noexcept {
+    return matrix_;
+  }
 
   /// Candidate links, i.e. the optimizer's variable space, sorted by id.
   const std::vector<topo::LinkId>& candidates() const noexcept {
@@ -92,7 +107,7 @@ class PlacementProblem {
   MeasurementTask task_;
   traffic::LinkLoads loads_;
   ProblemOptions options_;
-  routing::RoutingMatrix matrix_;
+  std::shared_ptr<const routing::RoutingMatrix> matrix_;
   std::vector<topo::LinkId> candidates_;
   std::vector<std::optional<std::size_t>> candidate_index_;  // link -> idx
   std::vector<std::shared_ptr<const opt::Concave1d>> utilities_;

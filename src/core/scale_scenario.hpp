@@ -7,6 +7,8 @@
 // partitioned approximation tier (core/approx).
 #pragma once
 
+#include <memory>
+
 #include "core/problem.hpp"
 #include "core/task.hpp"
 #include "topo/hierarchical.hpp"
@@ -38,9 +40,16 @@ struct ScaleScenario {
   traffic::TrafficMatrix demands;
   /// Per-link loads (pkt/s): background plus routed task demands.
   traffic::LinkLoads loads;
+  /// The task's single-path routing on the intact graph: routed once,
+  /// it yields the task loads, the default theta's candidate set and
+  /// the baseline every problem of the scenario starts from.
+  std::shared_ptr<const routing::RoutingMatrix> routing;
 };
 
-/// Builds the scenario: topology, fan-out task, loads.
+/// Builds the scenario: topology, fan-out task, routing, loads. The task
+/// share of `loads` is folded from `routing` in traffic::link_loads'
+/// order (source ascending, then demand order), so it is bit for bit
+/// background + traffic::link_loads(graph, demands).
 ScaleScenario make_scale_scenario(const ScaleScenarioOptions& options = {});
 
 /// A theta that keeps the instance interesting: `fraction` of the maximum
@@ -50,8 +59,9 @@ ScaleScenario make_scale_scenario(const ScaleScenarioOptions& options = {});
 double default_scale_theta(const ScaleScenario& scenario,
                            double fraction = 0.01);
 
-/// Builds the placement problem of the scenario. When options.theta is
-/// unset (<= 0), default_scale_theta(scenario) is used.
+/// Builds the placement problem of the scenario from its baseline
+/// routing. When options.theta is unset (<= 0),
+/// default_scale_theta(scenario) is used.
 PlacementProblem make_problem(const ScaleScenario& scenario,
                               ProblemOptions options);
 

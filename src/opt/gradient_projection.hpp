@@ -67,6 +67,12 @@ struct SolverOptions {
   /// SolveStatus::kCertified, once f* <= value + gap_tolerance * |value|
   /// is certified. 0 turns the check off: the solve then ends on its KKT
   /// certificate, bit-identical to a solve without the check.
+  ///
+  /// A gap-stopped answer is near-optimal in utility, not sparse: on the
+  /// 102,810-link scale instance at its default budget, a gap of 1e-2
+  /// (or 1e-4) stops with all 12,390 candidate monitors active, against
+  /// 578 at the KKT point (1e-6: 4,752; 1e-8: 590). The paper's few
+  /// low-rate monitors appear only near the KKT point.
   double gap_tolerance = 0.0;
   /// Generic path only: mix the previous direction per Polak-Ribiere
   /// (paper §IV-D: avoids the zigzag path of pure projected gradients).

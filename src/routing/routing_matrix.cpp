@@ -10,6 +10,38 @@ namespace netmon::routing {
 namespace {
 
 using PairRows = std::vector<std::vector<std::pair<topo::LinkId, double>>>;
+/// Per-row [begin, end) into a path arena.
+using Spans = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// Sorts row indices by source, stable within a source, so each distinct
+/// source needs exactly one Dijkstra, reused in place.
+void group_by_source(const std::vector<OdPair>& ods,
+                     std::vector<std::size_t>& rows) {
+  std::sort(rows.begin(), rows.end(), [&](std::size_t a, std::size_t b) {
+    if (ods[a].src != ods[b].src) return ods[a].src < ods[b].src;
+    return a < b;
+  });
+}
+
+/// Routes `rows` (grouped by source) over `spf_graph`: each row's path
+/// lands sorted in `arena` and its span in spans[row]. Throws at the
+/// first row, in visiting order, whose destination is unreachable.
+void route_rows(const SpfGraph& spf_graph, const topo::Graph& graph,
+                const std::vector<OdPair>& ods,
+                const std::vector<std::size_t>& rows,
+                std::vector<topo::LinkId>& arena, Spans& spans) {
+  SpfResult spf;
+  for (std::size_t pos = 0; pos < rows.size(); ++pos) {
+    const std::size_t k = rows[pos];
+    if (pos == 0 || ods[k].src != ods[rows[pos - 1]].src)
+      spf_graph.run(ods[k].src, spf);
+    const std::size_t begin = arena.size();
+    extract_path_into(spf, graph, ods[k].dst, arena);
+    spans[k] = {begin, arena.size()};
+    std::sort(arena.begin() + static_cast<std::ptrdiff_t>(begin),
+              arena.end());
+  }
+}
 
 }  // namespace
 
@@ -18,35 +50,19 @@ RoutingMatrix RoutingMatrix::single_path(const topo::Graph& graph,
                                          const LinkSet& failed) {
   RoutingMatrix matrix;
   matrix.ods_ = std::move(ods);
+  matrix.failed_ = failed;
   const std::size_t count = matrix.ods_.size();
-
-  // Visit rows grouped by source (stable within a source) so each
-  // distinct source needs exactly one Dijkstra, reused in place.
   std::vector<std::size_t> order(count);
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (matrix.ods_[a].src != matrix.ods_[b].src)
-      return matrix.ods_[a].src < matrix.ods_[b].src;
-    return a < b;
-  });
+  group_by_source(matrix.ods_, order);
 
   // All paths land in one LinkId arena with per-row spans: allocation
   // count stays flat in the OD count (the arena grows O(log nnz) times).
   std::vector<topo::LinkId> arena;
   arena.reserve(count * 8);
-  std::vector<std::pair<std::size_t, std::size_t>> spans(count);
-  SpfResult spf;
-  for (std::size_t pos = 0; pos < count; ++pos) {
-    const std::size_t k = order[pos];
-    const topo::NodeId src = matrix.ods_[k].src;
-    if (pos == 0 || src != matrix.ods_[order[pos - 1]].src)
-      dijkstra_into(graph, src, failed, spf);
-    const std::size_t begin = arena.size();
-    extract_path_into(spf, graph, matrix.ods_[k].dst, arena);
-    spans[k] = {begin, arena.size()};
-    std::sort(arena.begin() + static_cast<std::ptrdiff_t>(begin),
-              arena.end());
-  }
+  Spans spans(count);
+  route_rows(SpfGraph(graph, failed), graph, matrix.ods_, order, arena,
+             spans);
 
   linalg::CsrBuilder builder(graph.link_count());
   builder.reserve(count, arena.size());
@@ -59,11 +75,62 @@ RoutingMatrix RoutingMatrix::single_path(const topo::Graph& graph,
   return matrix;
 }
 
+RoutingMatrix RoutingMatrix::rerouted(const topo::Graph& graph,
+                                      const LinkSet& extra_failed) const {
+  NETMON_REQUIRE(!ecmp_, "only single-path routing can be rerouted");
+  NETMON_REQUIRE(graph.link_count() == link_count(),
+                 "reroute graph does not match the routing matrix");
+  RoutingMatrix matrix;
+  matrix.ods_ = ods_;
+  matrix.failed_ = failed_;
+  // Rows crossing a newly failed link; every other row keeps its path.
+  std::vector<bool> crosses(od_count(), false);
+  for (topo::LinkId id : extra_failed) {
+    if (!matrix.failed_.insert(id).second || id >= link_count()) continue;
+    for (const auto& [k, fraction] : csc_.row(id)) crosses[k] = true;
+  }
+  std::vector<std::size_t> touched;
+  for (std::size_t k = 0; k < od_count(); ++k)
+    if (crosses[k]) touched.push_back(k);
+  if (touched.empty()) {
+    matrix.csr_ = csr_;
+    matrix.csc_ = csc_;
+    return matrix;
+  }
+  group_by_source(ods_, touched);
+
+  // Same visiting order as single_path restricted to the touched rows;
+  // the untouched ones stay reachable, so a disconnection throws for the
+  // same row, with the same message, as the from-scratch build.
+  std::vector<topo::LinkId> arena;
+  Spans spans(od_count());
+  route_rows(SpfGraph(graph, matrix.failed_), graph, ods_, touched, arena,
+             spans);
+
+  linalg::CsrBuilder builder(link_count());
+  builder.reserve(od_count(), csr_.nnz() + arena.size());
+  for (std::size_t k = 0; k < od_count(); ++k) {
+    if (crosses[k]) {
+      for (std::size_t i = spans[k].first; i < spans[k].second; ++i)
+        builder.push(arena[i], 1.0);
+    } else {
+      for (const auto& [link, fraction] : csr_.row(k))
+        builder.push(link, fraction);
+    }
+    builder.finish_row();
+  }
+  matrix.csr_ = builder.build();
+  matrix.csc_ = matrix.csr_.transpose();
+  return matrix;
+}
+
 RoutingMatrix RoutingMatrix::ecmp(const topo::Graph& graph,
                                   std::vector<OdPair> ods,
                                   const LinkSet& failed) {
   RoutingMatrix matrix;
   matrix.ods_ = std::move(ods);
+  matrix.failed_ = failed;
+  matrix.ecmp_ = true;
   PairRows rows(matrix.ods_.size());
   for (std::size_t k = 0; k < matrix.ods_.size(); ++k) {
     auto row = ecmp_fractions(graph, matrix.ods_[k].src, matrix.ods_[k].dst,

@@ -35,7 +35,8 @@ class RoutingMatrix {
   using RowView = linalg::SparseCsr::RowView;
 
   /// Builds R with deterministic single shortest paths (r_{k,i} in {0,1}).
-  /// Throws if any OD pair is unreachable.
+  /// Throws if any OD pair is unreachable. One SpfGraph serves the whole
+  /// build; each distinct source runs one Dijkstra.
   static RoutingMatrix single_path(const topo::Graph& graph,
                                    std::vector<OdPair> ods,
                                    const LinkSet& failed = {});
@@ -43,6 +44,22 @@ class RoutingMatrix {
   /// Builds R with ECMP fractions (r_{k,i} in (0,1]).
   static RoutingMatrix ecmp(const topo::Graph& graph, std::vector<OdPair> ods,
                             const LinkSet& failed = {});
+
+  /// The same OD pairs routed around `extra_failed` on top of failed():
+  /// bit for bit single_path(graph, ods(), failed() + extra_failed),
+  /// including the netmon::Error a disconnected OD pair raises. Rows
+  /// whose path avoids the new failures are copied; only the sources of
+  /// rows crossing them run SPF again. This is exact: removing links
+  /// never shortens a path, and the lowest-id link among a node's
+  /// equal-cost in-links stays the lowest once others are gone. Only for
+  /// single-path matrices, with the graph they were built on.
+  RoutingMatrix rerouted(const topo::Graph& graph,
+                         const LinkSet& extra_failed) const;
+
+  /// The failure set the rows were routed around.
+  const LinkSet& failed() const noexcept { return failed_; }
+  /// Whether rows hold ECMP fractions rather than single paths.
+  bool is_ecmp() const noexcept { return ecmp_; }
 
   /// Number of OD pairs (rows).
   std::size_t od_count() const noexcept { return csr_.rows(); }
@@ -77,6 +94,8 @@ class RoutingMatrix {
   RoutingMatrix() = default;
 
   std::vector<OdPair> ods_;
+  LinkSet failed_;
+  bool ecmp_ = false;
   linalg::SparseCsr csr_;
   linalg::SparseCsr csc_;
 };

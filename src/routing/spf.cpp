@@ -44,30 +44,47 @@ bool SpfResult::reachable(topo::NodeId v) const {
   return v < dist.size() && std::isfinite(dist[v]);
 }
 
-void dijkstra_into(const topo::Graph& graph, topo::NodeId source,
-                   const LinkSet& failed, SpfResult& out) {
-  NETMON_REQUIRE(source < graph.node_count(), "SPF source out of range");
+SpfGraph::SpfGraph(const topo::Graph& graph, const LinkSet& failed) {
+  std::vector<bool> down(graph.link_count(), false);
+  for (topo::LinkId id : failed)
+    if (id < down.size()) down[id] = true;
+  first_arc_.reserve(graph.node_count() + 1);
+  arcs_.reserve(graph.link_count());
+  first_arc_.push_back(0);
+  for (topo::NodeId u = 0; u < graph.node_count(); ++u) {
+    for (topo::LinkId id : graph.out_links(u)) {
+      if (down[id]) continue;
+      const topo::Link& l = graph.links()[id];
+      arcs_.push_back(Arc{l.dst, id, l.igp_weight});
+    }
+    first_arc_.push_back(static_cast<std::uint32_t>(arcs_.size()));
+  }
+}
+
+void SpfGraph::run(topo::NodeId source, SpfResult& out) const {
+  NETMON_REQUIRE(source < node_count(), "SPF source out of range");
   out.source = source;
-  out.dist.assign(graph.node_count(), kInf);
-  out.parent.assign(graph.node_count(), topo::kInvalidId);
+  out.dist.assign(node_count(), kInf);
+  out.parent.assign(node_count(), topo::kInvalidId);
   out.dist[source] = 0.0;
 
+  double* const dist = out.dist.data();
+  topo::LinkId* const parent = out.parent.data();
   using Item = std::pair<double, topo::NodeId>;
   std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
   queue.emplace(0.0, source);
   while (!queue.empty()) {
     const auto [d, u] = queue.top();
     queue.pop();
-    if (d > out.dist[u]) continue;
-    for (topo::LinkId id : graph.out_links(u)) {
-      if (failed.count(id)) continue;
-      const topo::Link& l = graph.link(id);
-      const double nd = d + l.igp_weight;
-      if (nd < out.dist[l.dst] ||
-          (nd == out.dist[l.dst] && id < out.parent[l.dst])) {
-        out.dist[l.dst] = nd;
-        out.parent[l.dst] = id;
-        queue.emplace(nd, l.dst);
+    if (d > dist[u]) continue;
+    const Arc* const end = arcs_.data() + first_arc_[u + 1];
+    for (const Arc* arc = arcs_.data() + first_arc_[u]; arc != end; ++arc) {
+      const double nd = d + arc->weight;
+      if (nd < dist[arc->dst] ||
+          (nd == dist[arc->dst] && arc->id < parent[arc->dst])) {
+        dist[arc->dst] = nd;
+        parent[arc->dst] = arc->id;
+        queue.emplace(nd, arc->dst);
       }
     }
   }
@@ -76,7 +93,7 @@ void dijkstra_into(const topo::Graph& graph, topo::NodeId source,
 SpfResult dijkstra(const topo::Graph& graph, topo::NodeId source,
                    const LinkSet& failed) {
   SpfResult result;
-  dijkstra_into(graph, source, failed, result);
+  SpfGraph(graph, failed).run(source, result);
   return result;
 }
 

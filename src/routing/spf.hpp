@@ -7,6 +7,7 @@
 // recompute with a different exclusion set.
 #pragma once
 
+#include <cstdint>
 #include <unordered_set>
 #include <vector>
 
@@ -30,18 +31,41 @@ struct SpfResult {
   bool reachable(topo::NodeId v) const;
 };
 
-/// Runs Dijkstra from `source`, ignoring links in `failed`.
-/// Ties are broken towards the lower link id, making single-path routing
-/// deterministic.
+/// The SPF kernel's view of a graph under one failure set: a flat
+/// out-adjacency holding one (dst, link id, weight) arc per surviving
+/// link, grouped by source node in out_links() order. Building it costs
+/// one pass over the links (failed ones dropped through a bitmap), after
+/// which every Dijkstra from it touches neither a Link struct nor a hash
+/// set — so routing many sources builds it once and runs it per source.
+class SpfGraph {
+ public:
+  SpfGraph(const topo::Graph& graph, const LinkSet& failed);
+
+  /// Dijkstra from `source` into a caller-owned result: `out`'s vectors
+  /// are assign()ed in place, so running many sources through one
+  /// SpfResult reuses its buffers after the first call. A node's
+  /// distance improves on `nd < dist`, and an equal distance moves its
+  /// parent to the lower link id, making single-path routing
+  /// deterministic.
+  void run(topo::NodeId source, SpfResult& out) const;
+
+  std::size_t node_count() const noexcept { return first_arc_.size() - 1; }
+
+ private:
+  struct Arc {
+    topo::NodeId dst;
+    topo::LinkId id;
+    double weight;
+  };
+  /// Arcs of node v are arcs_[first_arc_[v], first_arc_[v + 1]).
+  std::vector<std::uint32_t> first_arc_;
+  std::vector<Arc> arcs_;
+};
+
+/// Runs Dijkstra from `source`, ignoring links in `failed` (one SpfGraph
+/// built and run once; routing many sources should share a SpfGraph).
 SpfResult dijkstra(const topo::Graph& graph, topo::NodeId source,
                    const LinkSet& failed = {});
-
-/// Same computation into a caller-owned result: `out`'s vectors are
-/// assign()ed in place, so running many sources through one SpfResult
-/// reuses its buffers after the first call — the per-source unit of
-/// routing-matrix construction at scale (RoutingMatrix::single_path).
-void dijkstra_into(const topo::Graph& graph, topo::NodeId source,
-                   const LinkSet& failed, SpfResult& out);
 
 /// Extracts the single shortest path source->dst as a sequence of link ids
 /// (in travel order). Throws netmon::Error if dst is unreachable.

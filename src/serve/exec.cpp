@@ -65,28 +65,32 @@ core::ProblemOptions request_problem_options(const ModelView& model,
 std::size_t expand_request(const ModelView& model, const Request& request,
                            std::deque<core::PlacementProblem>& problems) {
   const std::size_t first = problems.size();
+  const core::ProblemOptions options = request_problem_options(model, request);
+  const auto add = [&](core::ProblemOptions problem_options,
+                       std::shared_ptr<const routing::RoutingMatrix> from) {
+    problems.emplace_back(*model.graph, *model.task, *model.loads,
+                          std::move(problem_options), std::move(from));
+  };
   switch (request.kind) {
     case RequestKind::kSolve:
     case RequestKind::kAccuracyReport:
-      problems.emplace_back(*model.graph, *model.task, *model.loads,
-                            request_problem_options(model, request));
+      add(options, *model.routing);
       break;
     case RequestKind::kWhatIfBatch:
       for (const auto& scenario : request.what_if) {
-        core::ProblemOptions with_scenario =
-            request_problem_options(model, request);
+        core::ProblemOptions with_scenario = options;
         for (topo::LinkId id : scenario) with_scenario.failed.insert(id);
-        problems.emplace_back(*model.graph, *model.task, *model.loads,
-                              with_scenario);
+        add(std::move(with_scenario), *model.routing);
       }
       break;
     case RequestKind::kThetaSweep:
       for (double theta : request.thetas) {
-        core::ProblemOptions at_theta =
-            request_problem_options(model, request);
+        core::ProblemOptions at_theta = options;
         at_theta.theta = theta;
-        problems.emplace_back(*model.graph, *model.task, *model.loads,
-                              at_theta);
+        // Every point shares the first point's routing.
+        add(std::move(at_theta), problems.size() == first
+                                     ? *model.routing
+                                     : problems.back().shared_routing());
       }
       break;
   }

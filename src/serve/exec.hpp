@@ -6,6 +6,7 @@
 #pragma once
 
 #include <deque>
+#include <memory>
 #include <span>
 #include <string>
 
@@ -31,6 +32,9 @@ struct ModelView {
   /// Problem-assembly defaults; a request's theta / default_alpha /
   /// failed override per query.
   const core::ProblemOptions* defaults = nullptr;
+  /// The task's routing under the defaults: the baseline every problem
+  /// of a request starts from (see PlacementProblem's constructor).
+  const std::shared_ptr<const routing::RoutingMatrix>* routing = nullptr;
 };
 
 /// Validation error for `request` against `model`, or empty when
@@ -42,11 +46,13 @@ std::string validate_request(const ModelView& model, const Request& request);
 core::ProblemOptions request_problem_options(const ModelView& model,
                                              const Request& request);
 
-/// Expands `request` into its PlacementProblems, appended to `problems`
-/// (a deque: stable addresses while growing). Returns how many problems
-/// were appended. Throws netmon::Error when assembly rejects the query
-/// (e.g. a failure set that disconnects a task OD pair); the caller
-/// answers kBadRequest and must not reference the partial expansion.
+/// Expands `request` into its PlacementProblems, appended to `problems` (a
+/// deque: stable addresses while growing), each starting from the model's
+/// baseline routing: only failures beyond the defaults re-route, and a theta
+/// sweep routes once for all its points. Returns how many problems were
+/// appended. Throws netmon::Error when assembly rejects the query (e.g. a
+/// failure set that disconnects a task OD pair); the caller answers
+/// kBadRequest and must not reference the partial expansion.
 std::size_t expand_request(const ModelView& model, const Request& request,
                            std::deque<core::PlacementProblem>& problems);
 

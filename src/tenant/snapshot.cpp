@@ -18,12 +18,14 @@ TenantModel validated(TenantModel model) {
   return model;
 }
 
-routing::RoutingMatrix build_routing(const TenantModel& model) {
-  return model.problem.ecmp
-             ? routing::RoutingMatrix::ecmp(model.graph, model.task.ods,
-                                            model.problem.failed)
-             : routing::RoutingMatrix::single_path(
-                   model.graph, model.task.ods, model.problem.failed);
+std::shared_ptr<const routing::RoutingMatrix> build_routing(
+    const TenantModel& model) {
+  return std::make_shared<const routing::RoutingMatrix>(
+      model.problem.ecmp
+          ? routing::RoutingMatrix::ecmp(model.graph, model.task.ods,
+                                         model.problem.failed)
+          : routing::RoutingMatrix::single_path(model.graph, model.task.ods,
+                                                model.problem.failed));
 }
 
 }  // namespace

@@ -3,12 +3,12 @@
 //
 // A TenantSnapshot owns everything a request resolves against — the
 // topology, the measurement task, the link loads, the problem-assembly
-// defaults, plus the precomputed baseline routing matrix — frozen at
-// publish time and never mutated. The registry swaps whole snapshots
-// RCU-style (shared_ptr epochs): an in-flight solve pins the snapshot it
-// started against via the queue's context pin, so reconfiguration never
-// blocks a reader and a retired model is freed exactly when its last
-// in-flight request answers.
+// defaults, plus the baseline routing matrix every request's problems start
+// from — frozen at publish time and never mutated. The registry swaps whole
+// snapshots RCU-style (shared_ptr epochs): an in-flight solve pins the
+// snapshot it started against via the queue's context pin, so
+// reconfiguration never blocks a reader and a retired model is freed exactly
+// when its last in-flight request answers.
 #pragma once
 
 #include <cstdint>
@@ -54,23 +54,25 @@ class TenantSnapshot {
   const TenantModel& model() const noexcept { return model_; }
 
   /// The baseline routing of the task's OD pairs (model defaults: ecmp
-  /// flag and default failure set applied). Requests with extra failures
-  /// recompute routing during problem assembly as usual.
-  const routing::RoutingMatrix& routing() const noexcept { return routing_; }
+  /// flag and default failure set applied), routed once at publish.
+  /// Every request's problems start from it (serve::ModelView::routing):
+  /// a request without extra failures shares it, and a single-path one
+  /// with extra failures re-routes only the rows those failures cross.
+  const routing::RoutingMatrix& routing() const noexcept { return *routing_; }
 
   /// The borrowed view request execution runs against (serve/exec.hpp).
   /// Valid while this snapshot lives — pin the owning shared_ptr for the
   /// duration of any use.
   serve::ModelView view() const noexcept {
     return serve::ModelView{&model_.graph, &model_.task, &model_.loads,
-                            &model_.problem};
+                            &model_.problem, &routing_};
   }
 
  private:
   std::string name_;
   std::uint64_t epoch_;
   TenantModel model_;
-  routing::RoutingMatrix routing_;
+  std::shared_ptr<const routing::RoutingMatrix> routing_;
 };
 
 }  // namespace netmon::tenant

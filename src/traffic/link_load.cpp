@@ -9,11 +9,13 @@ namespace netmon::traffic {
 LinkLoads link_loads(const topo::Graph& graph, const TrafficMatrix& tm,
                      const routing::LinkSet& failed) {
   LinkLoads loads(graph.link_count(), 0.0);
-  // One Dijkstra per distinct source.
+  // One Dijkstra per distinct source, all from one SpfGraph.
   std::map<topo::NodeId, std::vector<const Demand*>> by_source;
   for (const Demand& d : tm) by_source[d.od.src].push_back(&d);
+  const routing::SpfGraph spf_graph(graph, failed);
+  routing::SpfResult spf;
   for (const auto& [src, demands] : by_source) {
-    const routing::SpfResult spf = routing::dijkstra(graph, src, failed);
+    spf_graph.run(src, spf);
     for (const Demand* d : demands) {
       for (topo::LinkId id : routing::extract_path(spf, graph, d->od.dst))
         loads[id] += d->pkt_per_sec;

@@ -6,6 +6,7 @@
 // instance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/approx.hpp"
@@ -13,6 +14,7 @@
 #include "core/scale_scenario.hpp"
 #include "core/solver.hpp"
 #include "runtime/thread_pool.hpp"
+#include "traffic/link_load.hpp"
 
 namespace netmon::core {
 namespace {
@@ -35,6 +37,70 @@ TEST(ScaleSmoke, ScenarioAssembles) {
   ASSERT_EQ(scenario.loads.size(), scenario.net.graph.link_count());
   for (double load : scenario.loads) EXPECT_GT(load, 0.0);
   for (double s : scenario.task.expected_packets) EXPECT_GE(s, 2.0);
+}
+
+bool same_doubles(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void expect_same_csr(const linalg::SparseCsr& a, const linalg::SparseCsr& b) {
+  EXPECT_EQ(a.cols(), b.cols());
+  EXPECT_TRUE(std::ranges::equal(a.row_ptr(), b.row_ptr()));
+  EXPECT_TRUE(std::ranges::equal(a.col_idx(), b.col_idx()));
+  EXPECT_TRUE(same_doubles(a.values(), b.values()));
+}
+
+TEST(ScaleSmoke, SharedRoutingFeedsBitIdenticalLoadsAndTheta) {
+  const ScaleScenarioOptions options = smoke_options();
+  const ScaleScenario scenario = make_scale_scenario(options);
+  const routing::RoutingMatrix scratch = routing::RoutingMatrix::single_path(
+      scenario.net.graph, scenario.task.ods);
+  ASSERT_NE(scenario.routing, nullptr);
+  expect_same_csr(scenario.routing->csr(), scratch.csr());
+
+  // Loads: background plus the demands routed by traffic::link_loads.
+  traffic::LinkLoads expected = traffic::background_loads(
+      scenario.net.graph, options.background_utilization);
+  const traffic::LinkLoads task_loads =
+      traffic::link_loads(scenario.net.graph, scenario.demands);
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    expected[i] += task_loads[i];
+  EXPECT_TRUE(same_doubles(scenario.loads, expected));
+
+  double max_budget = 0.0;
+  for (topo::LinkId id : scratch.links_used())
+    max_budget += expected[id] * scenario.task.interval_sec;
+  const double theta = default_scale_theta(scenario);
+  const double expected_theta = 0.01 * max_budget;
+  EXPECT_EQ(std::memcmp(&theta, &expected_theta, sizeof(double)), 0);
+}
+
+TEST(ScaleSmoke, ProblemsFromTheBaselineEqualFromScratchProblems) {
+  const ScaleScenario scenario = make_scale_scenario(smoke_options());
+  const std::vector<topo::LinkId> used = scenario.routing->links_used();
+  ProblemOptions intact;
+  intact.theta = default_scale_theta(scenario);
+  ProblemOptions failed = intact;  // rerouted from the baseline
+  failed.failed = {used[used.size() / 2], used[used.size() / 3]};
+  ProblemOptions ecmp = intact;  // routed from scratch
+  ecmp.ecmp = true;
+  for (const ProblemOptions& options : {intact, failed, ecmp}) {
+    const PlacementProblem shared = make_problem(scenario, options);
+    const PlacementProblem scratch(scenario.net.graph, scenario.task,
+                                   scenario.loads, options);
+    EXPECT_EQ(shared.candidates(), scratch.candidates());
+    expect_same_csr(shared.routing().csr(), scratch.routing().csr());
+    expect_same_csr(shared.routing().csc(), scratch.routing().csc());
+    expect_same_csr(shared.objective().matrix(), scratch.objective().matrix());
+    EXPECT_TRUE(same_doubles(shared.constraints().loads(),
+                             scratch.constraints().loads()));
+    EXPECT_TRUE(same_doubles(shared.constraints().upper(),
+                             scratch.constraints().upper()));
+    EXPECT_EQ(shared.theta(), scratch.theta());
+  }
+  // The intact problem shares the scenario's matrix outright.
+  EXPECT_EQ(make_problem(scenario, intact).shared_routing(), scenario.routing);
 }
 
 TEST(ScaleSmoke, ApproxTierCertifiesWithinOnePercent) {

@@ -32,6 +32,17 @@ TenantModel line_model(double theta = 50000.0) {
   return model;
 }
 
+/// S -> {X, Y} -> T, duplex: every OD pair has a second path.
+TenantModel diamond_model() {
+  TenantModel model;
+  model.graph = test::diamond_graph();
+  model.task.ods = {{0, 3}, {1, 2}, {3, 0}, {2, 1}};
+  model.task.expected_packets = {5000.0, 3000.0, 4000.0, 2000.0};
+  model.loads.assign(model.graph.link_count(), 1000.0);
+  model.problem.theta = 50000.0;
+  return model;
+}
+
 serve::Request solve_request(std::uint64_t id, const std::string& tenant = "") {
   serve::Request request;
   request.id = id;
@@ -96,6 +107,55 @@ TEST(TenantService, AnswersMatchADirectSolveBitExactly) {
   direct_answer.solutions.push_back(core::solve_placement(
       core::PlacementProblem(model.graph, model.task, model.loads, options)));
   expect_identical_solutions(tenant_answer, direct_answer);
+
+  // What-if batches and theta sweeps start from the snapshot's baseline
+  // routing (re-routing only rows a failure crosses); on the diamond the
+  // failures move paths onto the other branch. Each answer must equal a
+  // solve of the problem routed from scratch. Separate tenants keep the
+  // cache from donating a warm start across the two requests.
+  registry.publish("diamond", diamond_model());
+  registry.publish("sweep", diamond_model());
+  const TenantModel diamond = diamond_model();
+  const auto direct = [&](const routing::LinkSet& failed, double theta) {
+    core::ProblemOptions at = diamond.problem;
+    at.failed = failed;
+    at.theta = theta;
+    return core::solve_placement(core::PlacementProblem(
+        diamond.graph, diamond.task, diamond.loads, at));
+  };
+
+  serve::Request what_if = solve_request(10, "diamond");
+  what_if.kind = serve::RequestKind::kWhatIfBatch;
+  what_if.failed = {7};                      // T->Y
+  what_if.what_if = {{0}, {4, 3}, {3}, {}};  // S->X; X->T + Y->S; Y->S; none
+  const serve::Response batch = service.submit(what_if).get();
+  ASSERT_EQ(batch.status, serve::ResponseStatus::kOk) << batch.error;
+  EXPECT_EQ(batch.cache, serve::CacheOutcome::kNone);
+  serve::Response direct_batch;
+  for (const auto& scenario : what_if.what_if) {
+    routing::LinkSet failed(scenario.begin(), scenario.end());
+    failed.insert(7);
+    direct_batch.solutions.push_back(
+        direct(failed, diamond.problem.theta));
+  }
+  expect_identical_solutions(batch, direct_batch);
+
+  serve::Request sweep = solve_request(11, "sweep");
+  sweep.kind = serve::RequestKind::kThetaSweep;
+  sweep.failed = {0};  // S->X: S's traffic takes the Y branch
+  sweep.thetas = {20000.0, 50000.0, 90000.0};
+  const serve::Response points = service.submit(sweep).get();
+  ASSERT_EQ(points.status, serve::ResponseStatus::kOk) << points.error;
+  EXPECT_EQ(points.cache, serve::CacheOutcome::kNone);
+  ASSERT_EQ(points.sweep.size(), sweep.thetas.size());
+  for (std::size_t i = 0; i < sweep.thetas.size(); ++i) {
+    const core::PlacementSolution solution = direct({0}, sweep.thetas[i]);
+    EXPECT_EQ(points.sweep[i],
+              (serve::ThetaPoint{
+                  sweep.thetas[i], solution.total_utility, solution.lambda,
+                  static_cast<std::uint32_t>(
+                      solution.active_monitors.size())}));
+  }
 }
 
 TEST(TenantService, ExactHitIsBitIdenticalAndNeverInvokesTheSolver) {
